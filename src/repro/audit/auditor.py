@@ -2,7 +2,9 @@
 
 Every check here re-derives what the report claims through a code path the
 miners never execute: FDs by partition refinement over the coded columns
-(:func:`repro.fd.verify.holds_coded`), reliable scores against a plug-in
+(:func:`repro.fd.verify.holds_coded`), the minimum cover's completeness and
+non-redundancy by a set-based closure written here (not the bitmask
+kernel of :mod:`repro.fd`), reliable scores against a plug-in
 fraction of information computed from ``np.bincount`` entropies, cluster
 assignments against a from-scratch merge-cost fold (no cached
 ``mass_log_sum``, no packed arrays, no quantization), and dendrogram /
@@ -69,6 +71,47 @@ def _xlogx_np(x):
 
 def _tol(reference: float) -> float:
     return _BITS_TOL + _REL_TOL * abs(reference)
+
+
+def _closure(attributes, pairs) -> set:
+    """``X+`` under ``(lhs, rhs)`` frozenset pairs, by repeated saturation.
+
+    Written here on purpose: the cover it certifies comes from the bitmask
+    kernel in :mod:`repro.fd`, and sharing that code would let one bug
+    certify itself.
+    """
+    closed = set(attributes)
+    grew = True
+    while grew:
+        grew = False
+        for lhs, rhs in pairs:
+            if lhs <= closed and not rhs <= closed:
+                closed |= rhs
+                grew = True
+    return closed
+
+
+def _verify_cover(certificate, cover, mined) -> int:
+    """Check that ``cover`` implies every ``mined`` FD and that no cover FD
+    is implied by the others; returns the number of FDs examined."""
+    pairs = [(frozenset(fd.lhs), frozenset(fd.rhs)) for fd in cover]
+    needed: dict = {}
+    for fd in mined:
+        needed.setdefault(frozenset(fd.lhs), set()).update(fd.rhs)
+    for lhs, rhs in needed.items():
+        missing = rhs - _closure(lhs, pairs)
+        if missing:
+            certificate.violations.append(Violation(
+                check="cover", artifact=f"mined:{FD(lhs, missing)}",
+                detail="mined dependency is not implied by the cover "
+                       "(the cover lost information)"))
+    for index, (lhs, rhs) in enumerate(pairs):
+        if rhs <= _closure(lhs, pairs[:index] + pairs[index + 1:]):
+            certificate.violations.append(Violation(
+                check="cover", artifact=f"cover:{cover[index]}",
+                detail="cover dependency is implied by the other cover "
+                       "dependencies (the cover is not minimal)"))
+    return len(mined) + len(cover)
 
 
 # -- certificate structure ----------------------------------------------------------
@@ -242,6 +285,7 @@ class Auditor:
         certificate = AuditCertificate(seed=self.seed)
         self._groups_cache = {}
         self._check_dependencies(certificate, report)
+        self._check_cover(certificate, report)
         self._check_ranked(certificate, report)
         self._check_assignment(certificate, report)
         self._check_dendrogram(certificate, report)
@@ -307,6 +351,22 @@ class Auditor:
             self._verify_entry(certificate, relation, entry, "mined")
         self._record(certificate, "dependencies", before, checked,
                      sampled_note)
+
+    def _check_cover(self, certificate, report):
+        if not (self._stage_ok(report, "mining")
+                and self._stage_ok(report, "cover")):
+            self._skip(certificate, "cover",
+                       "mining or cover degraded; cover not certified")
+            return
+        if not all(isinstance(entry, FD) for entry in report.dependencies):
+            self._skip(certificate, "cover",
+                       "reliable mining: the cover is the ranked shortlist, "
+                       "not a minimum cover")
+            return
+        before = len(certificate.violations)
+        checked = _verify_cover(certificate, list(report.cover),
+                                list(report.dependencies))
+        self._record(certificate, "cover", before, checked)
 
     def _groups(self, relation, attributes):
         """Memoized :func:`repro.fd.verify._group_codes` for one audit pass.
@@ -766,6 +826,18 @@ def audit_json_report(blob: dict, relation, seed: int = 0,
                 detail="claimed exact dependency does not hold on the "
                        "instance"))
     auditor._record(certificate, "dependencies", before, checked)
+
+    mined = artifacts.get("dependencies", [])
+    if all(entry.get("kind") == "exact" for entry in mined):
+        before = len(certificate.violations)
+        checked = _verify_cover(
+            certificate, [_fd_from_json(e) for e in artifacts.get("cover", [])],
+            [_fd_from_json(entry) for entry in mined])
+        auditor._record(certificate, "cover", before, checked)
+    else:
+        auditor._skip(certificate, "cover",
+                      "reliable mining: the cover is the ranked shortlist, "
+                      "not a minimum cover")
 
     # Cluster assignment, re-scored against the serialized summaries over a
     # tuple view rebuilt from the data (deterministic given scope).

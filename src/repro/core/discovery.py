@@ -1226,7 +1226,7 @@ class StructureDiscovery:
                 return [entry.fd for entry in dependencies]
             return self._guarded(
                 "cover", outcomes,
-                primary=lambda: minimum_cover(dependencies),
+                primary=lambda: minimum_cover(dependencies, budget=budget),
                 fallbacks=[
                     ("raw mined dependencies", lambda: list(dependencies)),
                 ],

@@ -10,46 +10,87 @@ before ranking (Section 8.1.4).  The classic three steps:
 followed by regrouping dependencies that share a left-hand side, which is
 how the paper displays results (e.g. ``[EmpNo] -> [BirthYear, FirstName,
 ...]``).
+
+Both passes run over attribute bitmasks (:class:`AttributeBits`): the
+input is encoded once, every closure is :func:`closure_mask` over the
+dependencies grouped by LHS, and the cover is decoded once at the end.
+The scan orders are those of the set-based textbook passes kept in
+:func:`repro.testing.oracles.reference_minimum_cover` -- dependencies by
+:meth:`FD.sort_key`, LHS attributes by name, first kept wins -- so the
+output is list-identical to them.
 """
 
 from __future__ import annotations
 
-from repro.fd.dependency import FD, closure, split_rhs
+from repro.budget import checkpoint
+# ``closure`` is re-exported: tooling that instruments the cover stage
+# looks it up on this module.
+from repro.fd.dependency import (  # noqa: F401
+    FD,
+    AttributeBits,
+    closure,
+    closure_mask,
+    group_by_lhs,
+)
 
 
-def left_reduce(fds: list[FD]) -> list[FD]:
-    """Remove extraneous LHS attributes from every dependency.
+def _split(fds, bits: AttributeBits) -> list[tuple[int, int]]:
+    """Singleton-RHS ``(lhs mask, rhs bit)`` pairs, duplicates kept."""
+    pairs = []
+    for fd in fds:
+        lhs = bits.encode(fd.lhs)
+        pairs.extend((lhs, bits.bit[attribute]) for attribute in fd.rhs)
+    return pairs
 
-    ``B`` is extraneous in ``X -> A`` when ``A`` is already in the closure
-    of ``X - {B}`` under the full set.  Processes attributes in sorted order
-    for determinism.
+
+def _order(pairs, bits: AttributeBits) -> list[tuple[int, int]]:
+    """``pairs`` in :meth:`FD.sort_key` order of the dependencies they encode."""
+    return sorted(pairs, key=lambda pair: (bits.key(pair[0]), bits.key(pair[1])))
+
+
+def _left_reduce(pairs, bits, budget) -> list[tuple[int, int]]:
+    """Drop extraneous LHS attributes, lowest-named first.
+
+    ``B`` is extraneous in ``X -> A`` when ``A`` is in the closure of
+    ``X - {B}`` under the full split set.  That basis never changes during
+    the pass, so closures are memoized by the trimmed LHS.
     """
-    current = [fd for single in fds for fd in split_rhs(single)]
-    reduced: list[FD] = []
-    for fd in sorted(current, key=FD.sort_key):
-        lhs = set(fd.lhs)
-        for attribute in sorted(fd.lhs):
-            if len(lhs) <= 1:
+    groups = group_by_lhs(pairs)
+    closures: dict[int, int] = {}
+    reduced = []
+    for lhs, rhs in _order(pairs, bits):
+        checkpoint(budget, where="fd.cover")
+        current = lhs
+        for position in bits.key(lhs):
+            if current & (current - 1) == 0:  # at most one attribute left
                 break
-            trimmed = lhs - {attribute}
-            if fd.rhs <= closure(trimmed, current):
-                lhs = trimmed
-        reduced.append(FD(frozenset(lhs), fd.rhs))
+            trimmed = current & ~(1 << position)
+            closed = closures.get(trimmed)
+            if closed is None:
+                closed = closures[trimmed] = closure_mask(trimmed, groups)
+            if closed & rhs:
+                current = trimmed
+        reduced.append((current, rhs))
     return reduced
 
 
-def remove_redundant(fds: list[FD]) -> list[FD]:
-    """Drop dependencies implied by the remaining ones."""
-    kept = sorted(set(fds), key=FD.sort_key)
-    index = 0
-    while index < len(kept):
-        fd = kept[index]
-        rest = kept[:index] + kept[index + 1 :]
-        if fd.rhs <= closure(fd.lhs, rest):
-            kept = rest
-        else:
-            index += 1
-    return kept
+def _remove_redundant(pairs, bits, budget) -> list[tuple[int, int]]:
+    """Drop dependencies implied by the ones still kept, in sort order.
+
+    A dependency is tested by clearing its RHS bit from its LHS group; if
+    the closure of its LHS still reaches that bit the dependency is
+    redundant and the bit stays cleared.
+    """
+    kept = _order(set(pairs), bits)
+    groups = group_by_lhs(kept)
+    survivors = []
+    for lhs, rhs in kept:
+        checkpoint(budget, where="fd.cover")
+        groups[lhs] &= ~rhs
+        if not closure_mask(lhs, groups) & rhs:
+            groups[lhs] |= rhs
+            survivors.append((lhs, rhs))
+    return survivors
 
 
 def regroup(fds: list[FD]) -> list[FD]:
@@ -62,14 +103,20 @@ def regroup(fds: list[FD]) -> list[FD]:
     )
 
 
-def minimum_cover(fds, group_rhs: bool = False) -> list[FD]:
+def minimum_cover(fds, group_rhs: bool = False, budget=None) -> list[FD]:
     """A minimum cover of ``fds`` (singleton RHSs unless ``group_rhs``).
 
     Deterministic: ties in reduction order are broken by sorted attribute
-    names, so equal inputs yield equal covers.
+    names, so equal inputs yield equal covers.  ``budget`` (a
+    :class:`repro.budget.Budget`) is checkpointed once per dependency in
+    each pass, so a deadline or memory cap can stop a long cover.
     """
     fds = list(fds)
     if not fds:
         return []
-    reduced = remove_redundant(left_reduce(fds))
-    return regroup(reduced) if group_rhs else reduced
+    bits = AttributeBits.of(fds)
+    pairs = _split(fds, bits)
+    survivors = _remove_redundant(_left_reduce(pairs, bits, budget), bits,
+                                  budget)
+    cover = [FD(bits.decode(lhs), bits.decode(rhs)) for lhs, rhs in survivors]
+    return regroup(cover) if group_rhs else cover

@@ -15,6 +15,7 @@ _ORACLE_EXPORTS = (
     "exact_expected_mutual_information",
     "exact_reliable_score",
     "exhaustive_reliable_scores",
+    "reference_minimum_cover",
 )
 
 
@@ -36,4 +37,5 @@ __all__ = [
     "exhaustive_reliable_scores",
     "fault_point",
     "inject",
+    "reference_minimum_cover",
 ]

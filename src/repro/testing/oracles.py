@@ -19,6 +19,10 @@ Two independence levels are provided on purpose:
   vectorized implementation itself, not just its plumbing.
 
 Both scale exponentially in arity; keep oracle relations at <= 8 attributes.
+
+:func:`reference_minimum_cover` is the textbook set-based Maier cover
+(frozenset closures, no memo, no bitmasks) that the production
+:func:`repro.fd.minimum_cover` must match list for list.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 from itertools import combinations
 
 from repro.fd.reliable import ReliableFD, reliable_score
-from repro.fd.dependency import FD
+from repro.fd.dependency import FD, split_rhs
 
 
 def _column_classes(relation, names) -> dict:
@@ -153,3 +157,69 @@ def brute_force_topk(relation, k: int, **kwargs) -> list[ReliableFD]:
         )
         for score, lhs, rhs_name in entries
     ]
+
+
+def reference_closure(attributes, fds) -> frozenset:
+    """The attribute closure ``X+`` by linear fixpoint passes over sets."""
+    closed = set(attributes)
+    pending = list(fds)
+    changed = True
+    while changed:
+        changed = False
+        remaining = []
+        for fd in pending:
+            if fd.lhs <= closed:
+                if not fd.rhs <= closed:
+                    closed |= fd.rhs
+                    changed = True
+            else:
+                remaining.append(fd)
+        pending = remaining
+    return frozenset(closed)
+
+
+def reference_left_reduce(fds) -> list[FD]:
+    """Remove extraneous LHS attributes from every dependency.
+
+    ``B`` is extraneous in ``X -> A`` when ``A`` is already in the closure
+    of ``X - {B}`` under the full split set.  Dependencies are scanned in
+    :meth:`FD.sort_key` order and LHS attributes in sorted order.
+    """
+    current = [fd for single in fds for fd in split_rhs(single)]
+    reduced: list[FD] = []
+    for fd in sorted(current, key=FD.sort_key):
+        lhs = set(fd.lhs)
+        for attribute in sorted(fd.lhs):
+            if len(lhs) <= 1:
+                break
+            trimmed = lhs - {attribute}
+            if fd.rhs <= reference_closure(trimmed, current):
+                lhs = trimmed
+        reduced.append(FD(frozenset(lhs), fd.rhs))
+    return reduced
+
+
+def reference_remove_redundant(fds) -> list[FD]:
+    """Drop dependencies implied by the remaining ones (first kept wins)."""
+    kept = sorted(set(fds), key=FD.sort_key)
+    index = 0
+    while index < len(kept):
+        fd = kept[index]
+        rest = kept[:index] + kept[index + 1:]
+        if fd.rhs <= reference_closure(fd.lhs, rest):
+            kept = rest
+        else:
+            index += 1
+    return kept
+
+
+def reference_minimum_cover(fds, group_rhs: bool = False) -> list[FD]:
+    """Maier's minimum cover over frozensets: left-reduce, then drop
+    redundant dependencies, then (``group_rhs``) union RHSs per LHS."""
+    from repro.fd.cover import regroup
+
+    fds = list(fds)
+    if not fds:
+        return []
+    reduced = reference_remove_redundant(reference_left_reduce(fds))
+    return regroup(reduced) if group_rhs else reduced

@@ -81,7 +81,7 @@ class TestCleanCertification:
         assert certificate.ok
         assert certificate.artifacts_checked > 0
         names = {check.name for check in certificate.checks}
-        assert {"dependencies", "ranking", "assignment",
+        assert {"dependencies", "cover", "ranking", "assignment",
                 "dendrogram", "distributions"} <= names
 
     def test_audit_is_deterministic(self, report):
@@ -189,6 +189,30 @@ class TestLiveTampering:
         certificate = Auditor(seed=0).audit(tampered)
         assert not certificate.ok
         assert any("proj" in v.artifact for v in certificate.violations)
+
+    def test_cover_missing_a_dependency_rejected(self):
+        from repro.datasets import db2_sample
+
+        report = StructureDiscovery(seed=0).run(db2_sample(seed=0).relation)
+        assert Auditor(seed=0).audit(report).ok
+        dropped = report.cover[0]
+        report.cover = list(report.cover[1:])
+        certificate = Auditor(seed=0).audit(report)
+        assert not certificate.ok
+        # Every remaining cover FD holds; only the completeness check fails.
+        assert {v.check for v in certificate.violations} == {"cover"}
+        assert any(v.artifact.startswith("mined:[" + ",".join(
+            sorted(dropped.lhs))) for v in certificate.violations)
+
+    def test_redundant_cover_dependency_rejected(self, report):
+        tampered = copy.copy(report)
+        derived = next(fd for fd in report.dependencies
+                       if fd not in set(report.cover))
+        tampered.cover = list(report.cover) + [derived]
+        certificate = Auditor(seed=0).audit(tampered)
+        assert not certificate.ok
+        assert any(v.check == "cover" and v.artifact == f"cover:{derived}"
+                   for v in certificate.violations)
 
     def test_store_fingerprint_cross_check(self, relation, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")

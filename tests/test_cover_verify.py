@@ -2,8 +2,25 @@
 
 import pytest
 
-from repro.fd import FD, g3_error, holds, implies, minimum_cover, violating_pairs
-from repro.fd.cover import left_reduce, regroup, remove_redundant
+from repro.budget import Budget
+from repro.errors import ResourceLimitExceeded
+from repro.datasets import db2_sample, dblp
+from repro.fd import (
+    FD,
+    fdep,
+    g3_error,
+    holds,
+    implies,
+    minimum_cover,
+    tane,
+    violating_pairs,
+)
+from repro.fd.cover import regroup
+from repro.testing.oracles import (
+    reference_left_reduce as left_reduce,
+    reference_minimum_cover,
+    reference_remove_redundant as remove_redundant,
+)
 from repro.relation import NULL, Relation
 
 
@@ -77,6 +94,41 @@ class TestMinimumCover:
     def test_regroup(self):
         grouped = regroup([FD("A", "B"), FD("A", "C"), FD("B", "C")])
         assert FD("A", {"B", "C"}) in grouped
+
+
+class TestCoverOnMinerOutput:
+    """List equality with the set-based reference on real miner output."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fdep_on_db2(self, seed):
+        fds = fdep(db2_sample(seed=seed).relation)
+        assert minimum_cover(fds) == reference_minimum_cover(fds)
+        assert minimum_cover(fds, group_rhs=True) == reference_minimum_cover(
+            fds, group_rhs=True)
+
+    def test_tane_on_dblp_2200(self):
+        fds = tane(dblp(n_tuples=2200, seed=7))
+        assert minimum_cover(fds) == reference_minimum_cover(fds)
+        assert minimum_cover(fds, group_rhs=True) == reference_minimum_cover(
+            fds, group_rhs=True)
+
+
+class TestCoverBudget:
+    def test_checkpoints_once_per_dependency_in_each_pass(self):
+        fds = [FD("A", "B"), FD("B", "C"), FD("A", "C")]
+        sites = []
+        budget = Budget()
+        budget.on_checkpoint(lambda units, where: sites.append(where))
+        minimum_cover(fds, budget=budget)
+        # Three split dependencies left-reduced, three distinct ones
+        # tested for redundancy.
+        assert sites == ["fd.cover"] * 6
+
+    def test_exhausted_budget_stops_the_cover(self):
+        fds = fdep(db2_sample(seed=0).relation)
+        with pytest.raises(ResourceLimitExceeded) as caught:
+            minimum_cover(fds, budget=Budget(max_units=10))
+        assert caught.value.where == "fd.cover"
 
 
 class TestHolds:

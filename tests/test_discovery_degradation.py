@@ -193,6 +193,24 @@ class TestBudgetedRun:
         assert "FDEP" in outcome.fallback
         assert report.dependencies  # the sampled miner still found FDs
 
+    def test_cover_over_budget_falls_back_to_raw_dependencies(self, relation):
+        # Count the work units spent up to the cover's first checkpoint,
+        # then cap a fresh budget one unit short of it.
+        ticks = []
+        probe = Budget()
+        probe.on_checkpoint(lambda units, where: ticks.append((units, where)))
+        StructureDiscovery().run(relation, budget=probe)
+        first = next(units for units, where in ticks if where == "fd.cover")
+        report = StructureDiscovery().run(
+            relation, budget=Budget(max_units=first - 1))
+        assert report.outcome("mining").ok
+        outcome = report.outcome("cover")
+        assert outcome.status == "degraded"
+        assert "budget exhausted" in outcome.detail
+        assert "fd.cover" in outcome.detail
+        assert outcome.fallback == "raw mined dependencies"
+        assert report.cover == list(report.dependencies)
+
 
 class TestDeterministicSample:
     def test_small_relation_returned_whole(self):

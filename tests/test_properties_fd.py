@@ -17,6 +17,7 @@ from repro.fd import (
 )
 from repro.fd.partitions import partition_of, product
 from repro.relation import Relation
+from repro.testing.oracles import reference_minimum_cover
 
 ATTRS = ("W", "X", "Y", "Z")
 
@@ -167,6 +168,43 @@ class TestCoverProperties:
     def test_cover_idempotent(self, fds):
         once = minimum_cover(fds)
         assert minimum_cover(once) == once
+
+
+#: Unpadded names, so sorted-name order ("a10" < "a2") differs from index
+#: order; 70 of them, so the widest inputs need more than 62 bits.
+WIDE = tuple(f"a{i}" for i in range(70))
+
+
+@st.composite
+def cover_input(draw, max_fds=8):
+    """Dependency lists with empty LHSs, repeats and, at width 70, a LHS
+    spanning more than 62 attributes."""
+    pool = WIDE[:draw(st.sampled_from((4, 9, 70)))]
+    names = st.sampled_from(pool)
+    fds = [
+        FD(draw(st.sets(names, max_size=3)),
+           draw(st.sets(names, min_size=1, max_size=2)))
+        for _ in range(draw(st.integers(min_value=1, max_value=max_fds)))
+    ]
+    fds += draw(st.lists(st.sampled_from(fds), max_size=3))
+    if len(pool) == len(WIDE):
+        fds.append(FD(pool[:-1], pool[-1]))
+    return draw(st.permutations(fds))
+
+
+class TestCoverMatchesReference:
+    """The bitmask cover is list-identical to the set-based textbook one."""
+
+    @given(cover_input())
+    @settings(max_examples=150)
+    def test_singleton_rhs(self, fds):
+        assert minimum_cover(fds) == reference_minimum_cover(fds)
+
+    @given(cover_input())
+    @settings(max_examples=150)
+    def test_grouped_rhs(self, fds):
+        assert minimum_cover(fds, group_rhs=True) == reference_minimum_cover(
+            fds, group_rhs=True)
 
 
 class TestPartitionProperties:
