@@ -7,7 +7,8 @@ non-redundancy by a set-based closure written here (not the bitmask
 kernel of :mod:`repro.fd`), reliable scores against a plug-in
 fraction of information computed from ``np.bincount`` entropies, cluster
 assignments against a from-scratch merge-cost fold (no cached
-``mass_log_sum``, no packed arrays, no quantization), and dendrogram /
+``mass_log_sum``, no packed arrays, no quantization), ``phi = 0`` summaries
+against a group-by of identical conditionals written here, and dendrogram /
 distribution invariants straight from the definitions.  A cheap wrong
 answer here is therefore evidence of a wrong artifact, not of a shared
 bug.
@@ -112,6 +113,51 @@ def _verify_cover(certificate, cover, mined) -> int:
                 detail="cover dependency is implied by the other cover "
                        "dependencies (the cover is not minimal)"))
     return len(mined) + len(cover)
+
+
+def _identical_groups(rows) -> list[list[int]]:
+    """Object indices grouped by bitwise-identical conditional.
+
+    Written here on purpose, keyed differently (a frozenset of items) from
+    the pipeline's group-by in :mod:`repro.clustering.limbo`.
+    """
+    groups: dict = {}
+    for index, row in enumerate(rows):
+        groups.setdefault(frozenset(row.items()), []).append(index)
+    return list(groups.values())
+
+
+def _verify_exact(certificate, stage, rows, member_lists) -> int:
+    """Check that ``phi = 0`` summaries are exactly the identical-row groups.
+
+    Each group of objects with one conditional must be held by exactly one
+    summary, and that summary must hold nothing else (Section 6.1.1: phi 0
+    "finds only exact duplicates", and loses nothing).  Returns the number
+    of groups examined.
+    """
+    owner: dict = {}
+    for index, members in enumerate(member_lists):
+        for member in members:
+            owner[member] = index
+    groups = _identical_groups(rows)
+    if len(member_lists) != len(groups):
+        certificate.violations.append(Violation(
+            check="exactness", artifact=f"{stage}:summaries",
+            detail=f"{len(member_lists)} summaries for {len(groups)} groups "
+                   f"of identical conditionals"))
+    for group in groups:
+        held = {owner.get(member) for member in group}
+        if len(held) != 1 or None in held:
+            certificate.violations.append(Violation(
+                check="exactness", artifact=f"{stage}:object {group[0]}",
+                detail=f"{len(group)} objects with one conditional are split "
+                       f"across summaries {sorted(held, key=str)}"))
+        elif sorted(member_lists[held.pop()]) != group:
+            certificate.violations.append(Violation(
+                check="exactness", artifact=f"{stage}:object {group[0]}",
+                detail="the summary holding this group of identical "
+                       "conditionals also holds other objects"))
+    return len(groups)
 
 
 # -- certificate structure ----------------------------------------------------------
@@ -288,6 +334,7 @@ class Auditor:
         self._check_cover(certificate, report)
         self._check_ranked(certificate, report)
         self._check_assignment(certificate, report)
+        self._check_exactness(certificate, report)
         self._check_dendrogram(certificate, report)
         self._check_distributions(certificate, report)
         self._check_digests(certificate, report, source_relation, store,
@@ -590,6 +637,49 @@ class Auditor:
                  - _xlogx(prior) + merged.sum(axis=1)) / _LN2
         return np.maximum(costs, 0.0)
 
+    # -- phi = 0 exactness ------------------------------------------------------------
+
+    def _check_exactness(self, certificate, report):
+        """Re-group every ``phi = 0`` clustering by identical conditional.
+
+        Applies to a stage that took its primary path with ``phi = 0``, no
+        leaf-buffer rebuild and no ``max_summaries`` cap, in a run that
+        climbed no memory-ladder rung: there, Phase 1 promises one summary
+        per group of identical objects.
+        """
+        memory = report.outcome("memory")
+        if memory is not None and not memory.ok:
+            self._skip(certificate, "exactness",
+                       "memory ladder applied; phi = 0 not promised exact")
+            return
+        held = []
+        for stage, clustering in (
+            ("tuple_clustering", report.tuple_clustering),
+            ("value_clustering", report.value_clustering),
+        ):
+            limbo = getattr(clustering, "limbo", None)
+            view = getattr(clustering, "view", None)
+            if (self._stage_ok(report, stage) and limbo is not None
+                    and view is not None and limbo.phi == 0.0
+                    and not limbo.buffer_rebuilds and limbo.max_summaries is None):
+                held.append((stage, view.rows,
+                             [summary.members for summary in limbo.summaries]))
+        self._record_exactness(certificate, held)
+
+    def _record_exactness(self, certificate, held):
+        """Run :func:`_verify_exact` over ``(stage, rows, member lists)``
+        triples and record one ``exactness`` check (skipped when empty)."""
+        if not held:
+            self._skip(certificate, "exactness",
+                       "no phi = 0 clustering without rebuilds")
+            return
+        before = len(certificate.violations)
+        checked = sum(_verify_exact(certificate, stage, rows, members)
+                      for stage, rows, members in held)
+        self._record(certificate, "exactness", before, checked,
+                     "phi = 0 groups re-derived for "
+                     + ", ".join(stage for stage, _, _ in held))
+
     # -- dendrogram ------------------------------------------------------------------
 
     def _check_dendrogram(self, certificate, report):
@@ -768,7 +858,7 @@ def audit_json_report(blob: dict, relation, seed: int = 0,
     loss) comes back with a violation naming the artifact.
     """
     from repro.checkpoint.store import relation_fingerprint
-    from repro.relation.matrices import build_tuple_view
+    from repro.relation.matrices import build_tuple_view, build_value_view
 
     certificate = AuditCertificate(seed=seed)
     auditor = Auditor(seed=seed, row_sample=row_sample)
@@ -859,6 +949,20 @@ def audit_json_report(blob: dict, relation, seed: int = 0,
     else:
         auditor._skip(certificate, "assignment",
                       "report carries no assignment/summaries")
+
+    # phi = 0 exactness, over views rebuilt from the data (a double-
+    # clustered value view depends on a tuple clustering the JSON lacks).
+    held = []
+    phase1 = artifacts.get("phase1", {})
+    for key, stage, build in (("tuples", "tuple_clustering", build_tuple_view),
+                              ("values", "value_clustering", build_value_view)):
+        entry = phase1.get(key)
+        if (entry is not None and entry["phi"] == 0.0
+                and not entry["buffer_rebuilds"]
+                and not entry["double_clustered"]):
+            view = build(relation, value_scope=entry["value_scope"])
+            held.append((stage, view.rows, entry["members"]))
+    auditor._record_exactness(certificate, held)
 
     # Dendrogram.
     merges = artifacts.get("merges")

@@ -163,7 +163,9 @@ _DRILLS = (
     _pipeline("fd.reliable.node",
               discovery=(("fd_mode", "topk"), ("fd_k", 5))),
     _pipeline("limbo.fit"),
-    _pipeline("limbo.assign"),
+    _pipeline("limbo.assign", discovery=(("phi_t", 0.5),),
+              notes="phi = 0 reads Phase 3 off the exact group-by; a "
+                    "positive phi_t still associates every tuple"),
     _pipeline("memory.sample", modes=("corrupt", "once"),
               discovery=(("memory_limit", 256 << 20),),
               corrupt=_forge_rss,

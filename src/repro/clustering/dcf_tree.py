@@ -9,7 +9,11 @@ leaf it merges into the closest entry if the loss stays within the threshold
 (and, recursively, ancestors) when the branching factor is exceeded.
 
 With ``phi = 0`` only identical objects merge, and LIMBO degenerates to AIB
-over the distinct objects -- the equivalence Section 5.2 notes.
+over the distinct objects -- the equivalence Section 5.2 notes.  A tree does
+not guarantee that identical objects share a leaf (insertion order steers
+routing), so :class:`repro.clustering.Limbo` runs phi = 0 as an exact
+group-by instead and builds a zero-threshold tree only over those groups,
+when a space bound forces escalation.
 
 **Space-bounded operation** (Section 4's fixed-buffer device): with
 ``max_leaf_entries`` set, the tree counts its leaf entries and, when an

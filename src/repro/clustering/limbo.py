@@ -4,10 +4,15 @@ Three phases:
 
 1. **Summarize** -- stream the objects into a :class:`DCFTree` whose merge
    threshold is ``phi * I(V;T) / |V|``; the leaf entries summarize the data.
+   At ``phi = 0`` only zero-loss merges are allowed, so Phase 1 is one exact
+   group-by of identical conditionals (:func:`summarize_identical`).
 2. **Cluster** -- run AIB over the leaf summaries, producing the full merge
    sequence (dendrogram).
 3. **Associate** -- scan the objects again and assign each to the closest of
-   the ``k`` representative DCFs (minimum information loss).
+   the ``k`` representative DCFs (minimum information loss).  Over the
+   summaries of an exact group-by this is each object's own group
+   (:meth:`Limbo.membership`): the group costs exactly zero, every other
+   summary costs more.
 
 The exact ``I(V;T)`` needed by the threshold is available because the matrix
 builders make a first pass over the data (Section 6.2's "three passes").
@@ -21,7 +26,8 @@ from repro import kernels
 from repro.budget import checkpoint
 from repro.clustering.aib import AIBResult, aib
 from repro.clustering.dcf import DCF, merge, merge_cost
-from repro.clustering.dcf_tree import DCFTree
+from repro.clustering.dcf_tree import DCFTree, dcf_bytes
+from repro.errors import MemoryLimitExceeded
 from repro.infotheory.entropy import mutual_information_rows
 from repro.testing.faults import fault_point
 
@@ -41,7 +47,8 @@ class Limbo:
     phi:
         Summary accuracy knob (``phi = 0`` merges only identical objects and
         makes LIMBO equivalent to AIB; larger values give coarser, smaller
-        summaries).
+        summaries).  At a zero threshold Phase 1 is the exact group-by of
+        :func:`summarize_identical`, whatever the executor.
     branching:
         DCF-tree branching factor ``B`` (default 4, as in Section 8).
     max_summaries:
@@ -61,12 +68,15 @@ class Limbo:
         loop (Phase 3).  ``auto`` lets each phase pick the vectorized
         :mod:`repro.kernels` path when its input is large enough to win.
     executor:
-        Optional :class:`repro.parallel.ShardedExecutor`.  When given,
-        Phase 1 runs the *sharded* algorithm (per-shard summarization, then
-        a cross-shard merge) and Phase 3 associates objects in parallel
-        blocks.  The shard layout depends only on the input size and the
-        executor's ``shard_size``, never on its worker count, so any
-        ``workers=N`` produces bit-identical results to ``workers=1``.
+        Optional :class:`repro.parallel.ShardedExecutor`.  When given and
+        the threshold is positive, Phase 1 runs the *sharded* algorithm
+        (per-shard DCF trees, then a cross-shard merge tree) and Phase 3
+        associates objects in parallel blocks.  The shard layout depends
+        only on the input size and the executor's ``shard_size``, never on
+        its worker count, so any ``workers=N`` produces bit-identical
+        results to ``workers=1``.  The zero-threshold group-by runs in the
+        coordinating process for every executor setting: it is linear, and
+        shipping rows to a pool costs more than grouping them.
     checkpoint:
         Optional :class:`repro.checkpoint.StageCheckpoint`.  The Phase-1
         summaries are snapshotted once :meth:`fit` completes (keyed by a
@@ -82,7 +92,13 @@ class Limbo:
         (sequential, per-shard, and the cross-shard merge tree); overflow
         escalates the merge threshold and rebuilds in place.
         ``buffer_rebuilds`` counts the escalations for the report's
-        ``memory`` health entry.
+        ``memory`` health entry.  A zero-threshold group-by with more
+        groups than this (or whose group bookings the memory governor
+        refuses) falls back to an escalating tree built over its groups.
+
+    After :meth:`fit`, ``exact`` tells whether Phase 1 was the exact
+    group-by with no escalation and no ``max_summaries`` rebuild -- the
+    case in which :meth:`membership` *is* the Phase-3 assignment.
     """
 
     def __init__(self, phi: float = 0.0, branching: int = 4,
@@ -104,6 +120,7 @@ class Limbo:
         self.checkpoint = checkpoint
         self.max_leaf_entries = max_leaf_entries
         self.buffer_rebuilds = 0
+        self.exact = False
         self._rows: list | None = None
         self._priors: list | None = None
         self._supports: list | None = None
@@ -160,14 +177,21 @@ class Limbo:
 
         fault_point("limbo.fit")
         phase_key = None
-        summaries = None
+        snapshot = None
         if self.checkpoint is not None:
             phase_key = self._fit_key(rows, priors, supports, mutual_information)
-            summaries = self.checkpoint.load(phase_key)
-        if summaries is None:
+            snapshot = self.checkpoint.load(phase_key)
+        if snapshot is not None:
+            summaries, rebuilds, self.exact = snapshot
+            self.buffer_rebuilds += rebuilds
+        else:
+            rebuilds_before = self.buffer_rebuilds
+            self.exact = False
             governor = getattr(self.budget, "memory", None)
             floor = mutual_information / len(rows) / 64.0
-            if self.executor is not None:
+            if self._threshold <= 0.0:
+                summaries = self._fit_identical(rows, priors, supports, floor, governor)
+            elif self.executor is not None:
                 summaries = self._fit_sharded(rows, priors, supports, floor, governor)
             else:
                 tree = self._tree(self._threshold, floor, governor)
@@ -181,6 +205,7 @@ class Limbo:
 
             threshold = self._threshold
             while self.max_summaries is not None and len(summaries) > self.max_summaries:
+                self.exact = False
                 checkpoint(self.budget, units=len(summaries), where="limbo.rebuild")
                 threshold = max(threshold * _REBUILD_FACTOR, floor)
                 tree = self._tree(threshold, floor, governor)
@@ -189,11 +214,33 @@ class Limbo:
                 summaries = tree.leaves()
                 self._retire_tree(tree)
             if self.checkpoint is not None:
-                self.checkpoint.save(phase_key, summaries)
+                self.checkpoint.save(phase_key, (
+                    summaries, self.buffer_rebuilds - rebuilds_before, self.exact,
+                ))
 
         self._rows, self._priors, self._supports = rows, priors, supports
         self._summaries = summaries
         return self
+
+    def _fit_identical(self, rows, priors, supports, floor, governor) -> list[DCF]:
+        """Zero-threshold Phase 1: the exact group-by, bounded when it must be.
+
+        When the groups fit ``max_leaf_entries`` and the governor booked
+        every one of them, they *are* the summaries and ``exact`` is set.
+        Otherwise the groups are inserted into an escalating tree that
+        starts from zero -- the same space bound every other tree honours.
+        """
+        groups, booked = summarize_identical(rows, priors, supports, budget=self.budget)
+        if booked and (self.max_leaf_entries is None
+                       or len(groups) <= self.max_leaf_entries):
+            self.exact = True
+            return groups
+        tree = self._tree(0.0, floor, governor)
+        for group in groups:
+            tree.insert(group)
+        summaries = tree.leaves()
+        self._retire_tree(tree)
+        return summaries
 
     def _tree(self, threshold: float, floor: float, governor) -> DCFTree:
         """A Phase-1 tree carrying this driver's space-bound configuration."""
@@ -223,23 +270,20 @@ class Limbo:
             for support in supports:
                 digest.update(repr(list(support.items())).encode("utf-8"))
         return (
-            "limbo.fit", repr(self.phi), self.branching, self.backend,
+            "limbo.phase1", repr(self.phi), self.branching, self.backend,
             self.max_summaries, self.max_leaf_entries, len(rows),
             supports is not None, repr(mutual_information), digest.hexdigest(),
         )
 
     def _fit_sharded(self, rows, priors, supports, floor, governor) -> list[DCF]:
-        """Sharded Phase 1: per-shard summarization + cross-shard merge.
+        """Sharded positive-threshold Phase 1: per-shard trees + merge tree.
 
         The shard layout is :func:`repro.parallel.shards.shard_bounds` of
         ``(len(rows), executor.shard_size)`` -- a pure function of the
-        input, so every worker count executes identical shards.  At
-        ``threshold <= 0`` (the ``phi = 0`` degenerate case) the merge step
-        groups shard leaves by their members' original rows -- keys taken
-        from the untouched input, so no accumulated float noise can split a
-        group; at positive thresholds the shard leaves are re-inserted into
-        a fresh DCF-tree with the same threshold, the same device the
-        ``max_summaries`` rebuild loop already uses.
+        input, so every worker count executes identical shards.  The shard
+        leaves are re-inserted into a fresh DCF-tree with the same
+        threshold, the same device the ``max_summaries`` rebuild loop
+        already uses.
         """
         from repro.parallel import shards, tasks
 
@@ -265,19 +309,6 @@ class Limbo:
             where="limbo.fit",
             budget=self.budget,
         )
-        if self._threshold <= 0.0:
-            summaries = merge_identical_leaves(shard_leaves, rows)
-            if (self.max_leaf_entries is None
-                    or len(summaries) <= self.max_leaf_entries):
-                return summaries
-            # The identical-row groups outgrow the buffer: bound them the
-            # same way the tree path would, by escalating from zero.
-            tree = self._tree(0.0, floor, governor)
-            for leaf in summaries:
-                tree.insert(leaf)
-            summaries = tree.leaves()
-            self._retire_tree(tree)
-            return summaries
         tree = self._tree(self._threshold, floor, governor)
         for leaves in shard_leaves:
             for leaf in leaves:
@@ -367,6 +398,22 @@ class Limbo:
                 )
                 return [index for block in blocks for index in block]
         return assign_rows(reps, rows, priors, self.backend, budget=self.budget)
+
+    def membership(self) -> list[int]:
+        """The index of each fitted object's Phase-1 summary.
+
+        When ``exact`` holds, this equals :meth:`assign` over
+        :attr:`summaries`: an object's own group of identical conditionals
+        costs exactly zero, and any other summary costs at least the
+        ``quantize_loss`` floor -- so the argmin is the group, with no
+        ``n x S`` scan.
+        """
+        self._require_fitted()
+        result = [0] * len(self._rows)
+        for index, summary in enumerate(self._summaries):
+            for member in summary.members:
+                result[member] = index
+        return result
 
     def cluster(self, k: int) -> list[int]:
         """Run Phases 2+3 and return a cluster index per fitted object."""
@@ -464,51 +511,50 @@ def _row_signature(row) -> tuple:
     return tuple(sorted(row.items()))
 
 
-def summarize_identical(start, rows, priors, supports=None) -> list[DCF]:
+def summarize_identical(rows, priors, supports=None, budget=None) -> tuple[list[DCF], bool]:
     """Group objects with identical conditionals into one DCF each.
 
-    The degenerate ``phi = 0`` Phase 1 (only zero-loss merges are allowed,
-    and ``delta_I = 0`` exactly when the conditionals coincide -- Section
-    5.2 notes LIMBO then reduces to AIB over the distinct objects) in one
-    linear pass: no DCF-tree, no per-insert closest-entry scans.  Members
-    accumulate in stream order, exactly as the tree's absorb order would.
-    ``start`` offsets local indices to global ones for sharded use.
+    The ``phi = 0`` Phase 1 (only zero-loss merges are allowed, and
+    ``delta_I = 0`` exactly when the conditionals coincide -- Section 5.2
+    notes LIMBO then reduces to AIB over the distinct objects) in one
+    linear pass: no DCF-tree, no per-insert closest-entry scans.  Groups
+    are keyed on the untouched input rows, so no accumulated float noise
+    can split one, and come out in order of first appearance; members
+    accumulate in stream order.
+
+    The loop keeps Phase 1's robustness contract: a ``budget`` checkpoint
+    every ``_CHECK_EVERY`` objects, and a booking of each new group's
+    :func:`repro.clustering.dcf_tree.dcf_bytes` with the budget's memory
+    governor.  The bookings are returned before this returns; the second
+    result is ``False`` when the governor refused one (the caller then
+    bounds the groups with an escalating tree).
     """
+    governor = getattr(budget, "memory", None)
     groups: dict = {}
-    order: list = []
-    for local, (row, prior) in enumerate(zip(rows, priors)):
-        key = _row_signature(row)
-        support = supports[local] if supports is not None else None
-        singleton = DCF.singleton(start + local, prior, row, support=support)
-        existing = groups.get(key)
-        if existing is None:
+    booked, refused = 0, False
+    try:
+        for index, (row, prior) in enumerate(zip(rows, priors)):
+            if index % _CHECK_EVERY == 0:
+                checkpoint(budget, units=_CHECK_EVERY, where="limbo.fit")
+            support = supports[index] if supports is not None else None
+            singleton = DCF.singleton(index, prior, row, support=support)
+            key = _row_signature(row)
+            group = groups.get(key)
+            if group is not None:
+                group.absorb(singleton)
+                continue
             groups[key] = singleton
-            order.append(key)
-        else:
-            existing.absorb(singleton)
-    return [groups[key] for key in order]
-
-
-def merge_identical_leaves(shard_leaves, rows) -> list[DCF]:
-    """Cross-shard merge for the ``phi = 0`` sharded Phase 1.
-
-    Groups are keyed on the *original* row of each leaf's first member --
-    input data untouched by any accumulation, so two shards summarizing the
-    same duplicate cannot disagree on the key by float noise.  Leaves merge
-    in shard order, preserving global stream order within every group.
-    """
-    groups: dict = {}
-    order: list = []
-    for leaves in shard_leaves:
-        for leaf in leaves:
-            key = _row_signature(rows[leaf.members[0]])
-            existing = groups.get(key)
-            if existing is None:
-                groups[key] = leaf
-                order.append(key)
-            else:
-                existing.absorb(leaf)
-    return [groups[key] for key in order]
+            if governor is not None and not refused:
+                size = dcf_bytes(singleton)
+                try:
+                    governor.reserve(size, where="limbo.fit")
+                    booked += size
+                except MemoryLimitExceeded:
+                    refused = True
+    finally:
+        if booked:
+            governor.release(booked)
+    return list(groups.values()), not refused
 
 
 def clustering_information(rows, priors, assignment) -> float:

@@ -464,7 +464,9 @@ class DiscoveryReport:
         without the live Python objects: the relation fingerprint, the
         complete dependency/cover/ranking lists, the tuple-cluster
         assignment with its DCF summaries (weight + sparse joint masses),
-        and the attribute dendrogram's merge sequence.
+        each clustering's Phase-1 facts (``phi``, leaf-buffer rebuilds and
+        summary membership, for the ``phi = 0`` exactness check), and the
+        attribute dendrogram's merge sequence.
         """
         from repro.checkpoint import relation_fingerprint
 
@@ -510,6 +512,21 @@ class DiscoveryReport:
                  "mass": {str(k): m for k, m in sorted(dcf.mass.items())}}
                 for dcf in limbo.summaries
             ]
+        phase1 = {}
+        for key, result in (("tuples", clustering),
+                            ("values", self.value_clustering)):
+            view = getattr(result, "view", None)
+            limbo = getattr(result, "limbo", None)
+            if view is not None and limbo is not None:
+                phase1[key] = {
+                    "phi": limbo.phi,
+                    "buffer_rebuilds": limbo.buffer_rebuilds,
+                    "double_clustered": getattr(view, "double_clustered", False),
+                    "value_scope": view.catalog.scope,
+                    "members": [sorted(s.members) for s in limbo.summaries],
+                }
+        if phase1:
+            artifacts["phase1"] = phase1
         if self.attribute_grouping is not None:
             dendrogram = self.attribute_grouping.dendrogram
             artifacts["n_leaves"] = dendrogram.n_leaves

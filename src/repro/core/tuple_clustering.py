@@ -79,7 +79,8 @@ def cluster_tuples(
     2. Phase 1 builds the tuple summaries.
     3. Phase 3 associates every tuple with its closest summary; groups whose
        summary represents more than one tuple (``p(c*) > 1/n``) become the
-       candidate duplicate groups.
+       candidate duplicate groups.  At ``phi_t = 0`` the closest summary is
+       the tuple's own group of identical tuples, read off Phase 1.
 
     ``max_leaf_entries`` bounds the Phase-1 DCF tree to that many leaf
     entries (space-bounded LIMBO; see :class:`repro.clustering.Limbo`).
@@ -97,7 +98,8 @@ def cluster_tuples(
         view.rows, view.priors, mutual_information=view.mutual_information()
     )
     summaries = limbo.summaries
-    assignment = limbo.assign(summaries)
+    # An exact group-by's membership is Phase 3's argmin (Limbo.membership).
+    assignment = limbo.membership() if limbo.exact else limbo.assign(summaries)
 
     n = len(relation)
     groups = []

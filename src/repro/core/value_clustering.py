@@ -138,10 +138,7 @@ def cluster_values(
         # need the coarse columns, and re-associating every tuple against
         # thousands of summaries (Phase 3) would add an O(n * summaries)
         # scan without changing the value-level result.
-        tuple_clusters = [0] * len(relation)
-        for cluster_index, summary in enumerate(tuple_limbo.summaries):
-            for tuple_index in summary.members:
-                tuple_clusters[tuple_index] = cluster_index
+        tuple_clusters = tuple_limbo.membership()
 
     view = build_value_view(
         relation, value_scope=value_scope, tuple_clusters=tuple_clusters

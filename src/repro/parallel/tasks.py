@@ -10,10 +10,9 @@ the result.
 
 Determinism: each task either reuses the exact code path of its sequential
 twin (``assign_rows``, ``DenseMergeEngine.costs``, ``partition_of``) or
-computes a content-based result (sets of agree sets, identical-row groups)
-that is independent of how the work was split.  Combined with the fixed
-shard layout of :mod:`repro.parallel.shards`, any worker count yields
-bit-identical output.
+computes a content-based result (sets of agree sets) that is independent of
+how the work was split.  Combined with the fixed shard layout of
+:mod:`repro.parallel.shards`, any worker count yields bit-identical output.
 """
 
 from __future__ import annotations
@@ -22,41 +21,26 @@ import numpy as np
 
 from repro.clustering.dcf import DCF
 from repro.clustering.dcf_tree import DCFTree
-from repro.clustering.limbo import assign_rows, summarize_identical
+from repro.clustering.limbo import assign_rows
 from repro.fd.fdep import _agree_block
 from repro.fd.partitions import partition_of
 from repro.kernels import DenseMergeEngine
 
 
 def fit_shard(payload):
-    """LIMBO Phase 1 over one tuple shard.
+    """Positive-threshold LIMBO Phase 1 over one tuple shard.
 
     Payload: ``(start, rows, priors, supports, threshold, branching,
     backend, max_leaf_entries, threshold_floor)`` where ``start`` is the
     shard's global index offset (member lists carry global indices).
-    Returns the shard's leaf DCFs.
-
-    At ``threshold <= 0`` Phase 1 degenerates to grouping identical
-    conditionals (only zero-loss merges are allowed -- Section 5.2's
-    ``phi = 0`` case), which :func:`summarize_identical` does in one linear
-    pass instead of paying the DCF-tree's per-insert closest-entry scans;
-    a ``max_leaf_entries`` buffer still applies (escalating from zero),
-    keeping every shard space-bounded.  The space bound is part of the
-    payload -- a pure function of the input and knobs, never of the worker
-    count -- so bounded runs stay worker-count invariant.
+    Returns the leaf DCFs of the shard's DCF tree.  The space bound is part
+    of the payload -- a pure function of the input and knobs, never of the
+    worker count -- so bounded runs stay worker-count invariant.  (At a
+    zero threshold :class:`repro.clustering.Limbo` groups identical rows
+    in the coordinator and never dispatches this task.)
     """
     (start, rows, priors, supports, threshold, branching, backend,
      max_leaf_entries, threshold_floor) = payload
-    if threshold <= 0.0:
-        leaves = summarize_identical(start, rows, priors, supports)
-        if max_leaf_entries is None or len(leaves) <= max_leaf_entries:
-            return leaves
-        tree = DCFTree(0.0, branching=branching, backend=backend,
-                       max_leaf_entries=max_leaf_entries,
-                       threshold_floor=threshold_floor)
-        for leaf in leaves:
-            tree.insert(leaf)
-        return tree.leaves()
     tree = DCFTree(threshold, branching=branching, backend=backend,
                    max_leaf_entries=max_leaf_entries,
                    threshold_floor=threshold_floor)

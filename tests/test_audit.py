@@ -228,6 +228,93 @@ class TestLiveTampering:
         assert bad.violations[0].artifact == "manifest:fingerprint"
 
 
+class TestPhiZeroExactness:
+    """phi = 0 summaries must be exactly the groups of identical objects."""
+
+    @pytest.fixture(scope="class")
+    def db2_report(self):
+        from repro.datasets import db2_sample
+
+        return StructureDiscovery(seed=0).run(db2_sample(seed=7).relation)
+
+    @staticmethod
+    def exactness(certificate):
+        return next(c for c in certificate.checks if c.name == "exactness")
+
+    def test_clean_phi_zero_report_certifies(self, db2_report):
+        live = Auditor(seed=0).audit(db2_report)
+        assert live.ok
+        check = self.exactness(live)
+        assert check.status == "pass" and check.checked > 0
+        blob = json.loads(json.dumps(db2_report.to_json()))
+        offline = audit_json_report(blob, db2_report.relation, seed=0)
+        assert offline.ok, offline.describe()
+        assert self.exactness(offline).status == "pass"
+
+    def test_live_split_group_rejected(self, db2_report):
+        from repro.clustering import DCF
+
+        tampered = copy.copy(db2_report)
+        clustering = copy.copy(db2_report.value_clustering)
+        limbo = copy.copy(clustering.limbo)
+        view = clustering.view
+        summaries = limbo.summaries
+        index = next(i for i, s in enumerate(summaries) if len(s.members) > 1)
+        head, *tail = summaries[index].members
+        first = DCF.singleton(head, view.priors[head], view.rows[head])
+        rest = DCF.singleton(tail[0], view.priors[tail[0]], view.rows[tail[0]])
+        for member in tail[1:]:
+            rest.absorb(DCF.singleton(member, view.priors[member],
+                                      view.rows[member]))
+        limbo._summaries = summaries[:index] + [first, rest] + summaries[index + 1:]
+        clustering.limbo = limbo
+        tampered.value_clustering = clustering
+        certificate = Auditor(seed=0).audit(tampered)
+        assert not certificate.ok
+        assert any(v.check == "exactness"
+                   and v.artifact.startswith("value_clustering:")
+                   for v in certificate.violations)
+
+    def test_sequential_tree_summaries_rejected(self, db2_report):
+        # The phi = 0 DCF tree that insertion order steered: on DB2 at data
+        # seed 7 it kept identical values in different leaves.
+        from repro.clustering import DCF, DCFTree
+
+        view = db2_report.value_clustering.view
+        tree = DCFTree(0.0)
+        for index, (row, prior) in enumerate(zip(view.rows, view.priors)):
+            tree.insert(DCF.singleton(index, prior, row))
+        exact = db2_report.value_clustering.limbo.summaries
+        assert len(tree.leaves()) > len(exact)
+        tampered = copy.copy(db2_report)
+        clustering = copy.copy(db2_report.value_clustering)
+        clustering.limbo = copy.copy(clustering.limbo)
+        clustering.limbo._summaries = tree.leaves()
+        tampered.value_clustering = clustering
+        certificate = Auditor(seed=0).audit(tampered)
+        assert not certificate.ok
+        assert {v.check for v in certificate.violations} == {"exactness"}
+
+    def test_json_split_group_rejected(self, db2_report):
+        blob = json.loads(json.dumps(db2_report.to_json()))
+        members = blob["artifacts"]["phase1"]["values"]["members"]
+        group = next(m for m in members if len(m) > 1)
+        members.append(group[1:])
+        del group[1:]
+        certificate = audit_json_report(blob, db2_report.relation, seed=0)
+        assert not certificate.ok
+        assert {v.check for v in certificate.violations} == {"exactness"}
+
+    def test_positive_phi_is_not_held_to_exactness(self):
+        from repro.datasets import db2_sample
+
+        report = StructureDiscovery(seed=0, phi_t=0.5, phi_v=0.5).run(
+            db2_sample(seed=7).relation)
+        certificate = Auditor(seed=0).audit(report)
+        assert certificate.ok
+        assert self.exactness(certificate).status == "skipped"
+
+
 class TestCertificateRendering:
     def test_describe_and_render(self, report):
         certificate = Auditor(seed=0).audit(report)

@@ -186,6 +186,27 @@ class TestDiscoverVerifyAndAudit:
         assert "REJECTED" in captured.out
         assert "cover" in captured.err
 
+    def test_audit_rejects_split_phi_zero_group(
+        self, db2_csv, tmp_path, capsys
+    ):
+        import json
+
+        report_path = tmp_path / "report.json"
+        assert main([
+            "discover", db2_csv, "--out-json", str(report_path),
+        ]) == 0
+        capsys.readouterr()
+        blob = json.loads(report_path.read_text("utf-8"))
+        members = blob["artifacts"]["phase1"]["values"]["members"]
+        group = next(m for m in members if len(m) > 1)
+        members.append(group[1:])  # one group of identical values, split
+        del group[1:]
+        report_path.write_text(json.dumps(blob), "utf-8")
+        assert main(["audit", str(report_path), db2_csv]) == 1
+        captured = capsys.readouterr()
+        assert "REJECTED" in captured.out
+        assert "exactness" in captured.err
+
     def test_audit_unreadable_report_is_input_error(self, db2_csv, tmp_path):
         bogus = tmp_path / "nope.json"
         bogus.write_text("not json", "utf-8")

@@ -99,7 +99,12 @@ class TestParallelStage:
         The discovery driver resolves ``ShardedExecutor`` from
         :mod:`repro.parallel` at run time, so wrapping the constructor is
         enough to shrink the shards without touching production defaults.
+        At the default ``phi = 0`` LIMBO groups rows in-process, so FDEP's
+        pair blocks are shrunk too: its agree-set scan is the stage that
+        fans out to the pool.
         """
+        import importlib
+
         import repro.parallel as parallel
 
         real = parallel.ShardedExecutor
@@ -109,6 +114,8 @@ class TestParallelStage:
             return real(**kwargs)
 
         monkeypatch.setattr(parallel, "ShardedExecutor", factory)
+        monkeypatch.setattr(importlib.import_module("repro.fd.fdep"),
+                            "_PAIRS_PER_BLOCK", 512)
 
     def test_sequential_default_records_no_parallel_stage(self, relation):
         report = StructureDiscovery().run(relation)

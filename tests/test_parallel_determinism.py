@@ -10,7 +10,9 @@ clustering backends.
 
 ``workers=1`` is the in-process oracle: same payloads, same shard layout,
 no pool.  Comparing the pooled runs against it proves process boundaries
-(and fork vs. spawn) leak nothing into the results.
+(and fork vs. spawn) leak nothing into the results.  The sequential run
+(``workers=None``, no executor at all) must match them too: the docs call
+every worker setting equivalent, the sequential default included.
 """
 
 import importlib
@@ -229,6 +231,48 @@ class TestDiscoveryInvariance:
             "discovery reports differ across worker counts: "
             f"{sorted(renders)}"
         )
+
+
+class TestSequentialShardedIdentity:
+    """``workers=None`` produces the same report as any worker count.
+
+    DB2 and DBLP-2200 at data seed 7 are the inputs on which a sequential
+    phi = 0 DCF tree once split identical values across leaves (108 value
+    summaries on DB2 where the sharded runs found the exact 107).  Only
+    the ``parallel`` health entry, which sequential runs do not carry, is
+    left out of the comparison.
+    """
+
+    _relations: dict = {}
+    _reports: dict = {}
+
+    @classmethod
+    def relation(cls, name):
+        from repro.datasets import db2_sample, dblp
+
+        if name not in cls._relations:
+            cls._relations[name] = (db2_sample(seed=7).relation if name == "db2"
+                                    else dblp(2200, seed=7))
+        return cls._relations[name]
+
+    @classmethod
+    def report(cls, name, workers):
+        key = (name, workers)
+        if key not in cls._reports:
+            relation = cls.relation(name)
+            blob = StructureDiscovery(workers=workers).run(relation).to_json()
+            blob["stages"] = [
+                stage for stage in blob["stages"] if stage["stage"] != "parallel"
+            ]
+            cls._reports[key] = blob
+        return cls._reports[key]
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    @pytest.mark.parametrize("name", ("db2", "dblp-2200"))
+    def test_sharded_report_equals_sequential(self, name, workers):
+        sequential = self.report(name, None)
+        assert sequential["healthy"]
+        assert self.report(name, workers) == sequential
 
 
 # -- start methods ------------------------------------------------------------------

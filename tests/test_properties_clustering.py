@@ -248,8 +248,8 @@ class TestShardedLimboProperties:
 
         limbo = self._sharded_limbo(rows, priors, phi=0.0, shard_size=3)
         leaves = limbo.summaries
-        # Exactly one leaf per distinct conditional -- unlike the
-        # sequential tree, which may split twins across leaves.
+        # Exactly one leaf per distinct conditional -- unlike a phi = 0
+        # DCF tree, which may split twins across leaves.
         assert len(leaves) == len({signature(row) for row in rows})
         for leaf in leaves:
             assert len({signature(rows[i]) for i in leaf.members}) == 1
@@ -260,9 +260,9 @@ class TestShardedLimboProperties:
     @given(object_set(max_objects=12))
     @settings(max_examples=30, deadline=None)
     def test_phi_zero_loses_no_information(self, data):
-        # Grouping identical conditionals is lossless, so the sharded
-        # phi=0 summaries carry all of I(V;T) -- at least as much as the
-        # sequential tree's leaves (which can only lose information).
+        # Grouping identical conditionals is lossless, so the phi=0
+        # summaries carry all of I(V;T) -- at least as much as a DCF
+        # tree's leaves (which can only lose information).
         rows, priors = data
         limbo = self._sharded_limbo(rows, priors, phi=0.0, shard_size=3)
         info = mutual_information_rows(rows, priors)
@@ -289,9 +289,9 @@ class TestShardedLimboProperties:
     @given(object_set(max_objects=12))
     @settings(max_examples=25, deadline=None)
     def test_phi_zero_groups_independent_of_shard_layout(self, data):
-        # Group membership and order are keyed on the original input rows,
-        # so the *layout* (unlike float accumulation order) cannot change
-        # which objects end up together.
+        # The phi=0 group-by runs in the coordinator, keyed on the original
+        # input rows, so the shard layout cannot change which objects end
+        # up together.
         rows, priors = data
         small = self._sharded_limbo(rows, priors, phi=0.0, shard_size=2)
         large = self._sharded_limbo(rows, priors, phi=0.0, shard_size=7)
