@@ -12,6 +12,9 @@ index and batches those evaluations:
   the dense AIB merge loop (rows are appended as clusters merge).
 * :func:`merge_cost_many` / :func:`pairwise_merge_costs` /
   :func:`closest_entry` -- the batched ``delta_I`` kernels.
+* :class:`PostingStore` -- summaries kept as weights plus per-value
+  posting lists, scoring one object against all of them by touching only
+  the object's values (the daemon's row absorption).
 * :func:`use_dense` / :func:`validate_backend` -- the ``backend=`` knob
   shared by :func:`repro.clustering.aib`, :class:`repro.clustering.DCFTree`
   and :class:`repro.clustering.Limbo`.
@@ -46,6 +49,7 @@ from repro.kernels.dense import (
     use_dense_assign,
     validate_backend,
 )
+from repro.kernels.postings import PostingStore
 
 __all__ = [
     "BACKENDS",
@@ -60,6 +64,7 @@ __all__ = [
     "DENSE_WIDE_COLUMNS",
     "DenseDCFSet",
     "DenseMergeEngine",
+    "PostingStore",
     "assign_many",
     "closest_entry",
     "dense_bytes",

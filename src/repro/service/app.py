@@ -22,10 +22,11 @@ report -- a pure function of the relation fingerprint and the discovery
 parameters, cached under exactly that key (see
 :mod:`repro.service.model_cache`).  Queries (top FDs, cluster assignment)
 are served from the last *mined* model; rows arriving after the mine are
-**absorbed** into a copy of its Phase-1 DCF summaries (the associative
-merge of Equations 1-2), so ``/assign`` keeps answering -- approximately,
-and flagged as such -- without a re-run, while the growing staleness
-watermark tells the server when a bounded background re-mine is due.
+**absorbed** into a value-posting store built from its Phase-1 DCF
+summaries (the associative merge of Equations 1-2), so ``/assign`` keeps
+answering -- approximately, and flagged as such -- without a re-run, while
+the growing staleness watermark tells the server when a bounded background
+re-mine is due.
 
 Degraded models (a stage fell back under its budget) are served flagged
 but never persisted: a snapshot must never outlive the condition that
@@ -39,7 +40,6 @@ import threading
 
 from repro.budget import Budget
 from repro.checkpoint.store import relation_fingerprint
-from repro.clustering.dcf import DCF, merge_cost
 from repro.core.discovery import StructureDiscovery
 from repro.errors import (
     InputError,
@@ -52,6 +52,7 @@ from repro.errors import (
     ServiceOverloaded,
     ServiceUnavailable,
 )
+from repro.kernels import PostingStore
 from repro.relation import NULL, Relation
 from repro.relation.columns import ColumnStore
 from repro.service.model_cache import ModelCache, model_key
@@ -110,29 +111,32 @@ MAX_CHUNK_ROWS = 100_000
 class _Assigner:
     """Incrementally absorbable Phase-3 assignment state.
 
-    Holds *copies* of the mined model's DCF summaries and value catalog
+    Holds the mined model's DCF summaries in a
+    :class:`~repro.kernels.PostingStore` and a copy of its value catalog
     (the cached model itself stays immutable), so new rows can be absorbed
     in place via the associative merge of Equations 1-2: route the row's
-    singleton DCF to the closest summary, then ``absorb`` it there.  The
-    result approximates what a full re-run would produce; ``absorbed``
-    counts how far the approximation has drifted from the mined model.
+    singleton DCF to the closest summary, then fold it in there.  Scoring
+    and absorbing touch only the row's own values.  The result
+    approximates what a full re-run would produce; ``absorbed`` counts how
+    far the approximation has drifted from the mined model.
     """
 
-    def __init__(self, report):
-        clustering = report.tuple_clustering
+    def __init__(self, clustering, relation):
+        if clustering is None or clustering.limbo is None:
+            raise ValueError("model has no cluster summaries")
         catalog = clustering.view.catalog
         self.scope = catalog.scope
         self.ids = dict(catalog.ids)
         self.keys = list(catalog.keys)
-        self.summaries = [s.copy() for s in clustering.limbo.summaries]
-        if not self.summaries:
-            raise ValueError("model has no cluster summaries")
-        self.names = report.relation.attributes
-        self.arity = max(1, report.relation.arity)
-        self.base_prior = 1.0 / max(1, len(report.relation))
+        self.store = PostingStore(clustering.limbo.summaries)
+        self.names = relation.attributes
+        self.arity = max(1, relation.arity)
+        self.base_prior = 1.0 / max(1, len(relation))
         self.absorbed = 0
 
-    def _distribution(self, row, allocate: bool) -> dict:
+    def distribution(self, row, allocate: bool) -> dict:
+        """The row's conditional ``p(V|t)`` over catalog value ids; with
+        ``allocate`` an unseen value gets a fresh id."""
         mass = 1.0 / self.arity
         sparse: dict = {}
         for name, literal in zip(self.names, row):
@@ -147,24 +151,22 @@ class _Assigner:
             sparse[value_id] = sparse.get(value_id, 0.0) + mass
         return sparse
 
-    def _closest(self, singleton: DCF) -> int:
-        best, best_cost = 0, merge_cost(self.summaries[0], singleton)
-        for index in range(1, len(self.summaries)):
-            cost = merge_cost(self.summaries[index], singleton)
-            if cost < best_cost:
-                best, best_cost = index, cost
-        return best
+    def _mass(self, row, allocate: bool) -> dict:
+        """The row's singleton joint masses, exactly as ``DCF`` forms them."""
+        prior = self.base_prior
+        return {value_id: prior * p
+                for value_id, p in self.distribution(row, allocate).items()}
 
     def assign(self, row) -> int:
         """Closest cluster of a row (read-only; unseen values ignored)."""
-        return self._closest(DCF(self.base_prior,
-                                 self._distribution(row, allocate=False)))
+        return self.store.closest(self._mass(row, allocate=False),
+                                  self.base_prior)
 
     def absorb(self, row) -> int:
         """Fold one new row into its closest summary (Equations 1-2)."""
-        singleton = DCF(self.base_prior, self._distribution(row, True))
-        index = self._closest(singleton)
-        self.summaries[index].absorb(singleton)
+        mass = self._mass(row, allocate=True)
+        index = self.store.closest(mass, self.base_prior)
+        self.store.absorb(index, mass, self.base_prior)
         self.absorbed += 1
         return index
 
@@ -479,20 +481,52 @@ class DiscoveryApp:
             key, lambda: self._compute(frozen, budget),
             persist=lambda value: value.healthy)
         with relation.lock:
+            superseded = relation.model_key
             relation.model_key = key
             relation.model_healthy = report.healthy
             relation.stale_rows = max(
                 0, relation.columns.n_rows - len(report.relation))
             try:
-                relation.assigner = _Assigner(report)
-            except Exception:
+                self._install_assigner(relation, report)
+            except ValueError:
                 relation.assigner = None  # degraded stage: assignment off
             relation.remines += 1
             self._persist(relation)
+        if superseded is not None and superseded != key:
+            self._retire(superseded)
         payload = report.summary(top=max(1, top))
         payload.update({"relation": rid, "model_key": key,
                         "stale_rows": relation.stale_rows})
         return payload
+
+    def _retire(self, key: str) -> None:
+        """Drop a superseded model from memory unless a relation still
+        serves it.  Rows only grow, so no query asks for it again; its
+        snapshot stays on disk.
+
+        Other relations' keys are read without their locks: a race can
+        only release a model another relation just switched to, which
+        then costs that relation a rehydrate (or a re-mine if degraded).
+        """
+        with self._relations_lock:
+            in_use = any(relation.model_key == key
+                         for relation in self.relations.values())
+        if not in_use:
+            self.cache.release(key)
+
+    @staticmethod
+    def _install_assigner(relation: ResidentRelation, report) -> None:
+        """Serve ``/assign`` from the report's summaries plus every row
+        appended after the report's snapshot (call under the lock).
+
+        Rows acknowledged while a mine ran are in the columns but not in
+        the report; absorbing them keeps the assigner in step with
+        ``stale_rows``.
+        """
+        assigner = _Assigner(report.tuple_clustering, report.relation)
+        for row in relation.columns.row_tuples()[len(report.relation):]:
+            assigner.absorb(row)
+        relation.assigner = assigner
 
     def remine(self, rid: str, budget: Budget | None = None) -> dict:
         """The bounded background re-mine behind the staleness watermark."""
@@ -553,14 +587,14 @@ class DiscoveryApp:
         with relation.lock:
             if relation.assigner is None:
                 try:
-                    relation.assigner = _Assigner(report)
-                except Exception:
+                    self._install_assigner(relation, report)
+                except ValueError:
                     raise ServiceUnavailable(
                         f"model for {rid!r} carries no cluster summaries "
                         "(degraded clustering stage); re-mine first")
             cluster = relation.assigner.assign(converted)
             absorbed = relation.assigner.absorbed
-            n_clusters = len(relation.assigner.summaries)
+            n_clusters = len(relation.assigner.store)
             stale = relation.stale_rows
         return {
             "relation": rid,

@@ -210,12 +210,17 @@ class ModelCache:
                 self.governor.reserve(nbytes, where="service.model_cache")
             self._entries[key] = _Entry(value, nbytes)
 
-    def invalidate(self, key: str) -> None:
-        """Drop a key from both layers (used by background re-mining)."""
+    def release(self, key: str) -> None:
+        """Drop a key from the resident layer only; its durable snapshot
+        stays, so a later request rehydrates it instead of recomputing."""
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is not None and self.governor is not None:
                 self.governor.release(entry.nbytes)
+
+    def invalidate(self, key: str) -> None:
+        """Drop a key from both layers (used by background re-mining)."""
+        self.release(key)
         if self.store is not None:
             self.store.delete_named(self.kind, key)
 

@@ -30,6 +30,7 @@ the drain forces an immediate exit.
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import json
 import os
 import signal
@@ -331,6 +332,30 @@ class _HttpError(Exception):
         self.message = message
 
 
+#: glibc's ``mallopt`` parameter number for the malloc arena cap.
+_M_ARENA_MAX = -8
+
+
+def _share_one_malloc_arena() -> None:
+    """Make every thread of this process allocate from glibc's main arena.
+
+    glibc gives a thread that finds the other arenas busy an arena of its
+    own (up to 8 per core), and memory freed in one arena is reused only
+    by threads bound to it.  The daemon's handler threads and its
+    background re-mines each allocate model-sized buffers, so with
+    per-thread arenas a re-mine grows the resident set instead of reusing
+    what the previous one freed.  Python code allocates under the GIL, so
+    one shared arena costs little contention.  A no-op without glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no dlopen
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
 async def _main_async(daemon: Daemon) -> int:
     await daemon.start()
     return await daemon.serve_forever()
@@ -338,6 +363,7 @@ async def _main_async(daemon: Daemon) -> int:
 
 def run_daemon(daemon: Daemon) -> int:
     """Blocking entry point used by ``repro serve``."""
+    _share_one_malloc_arena()  # before asyncio starts worker threads
     try:
         return asyncio.run(_main_async(daemon))
     except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback

@@ -23,6 +23,10 @@ Both scale exponentially in arity; keep oracle relations at <= 8 attributes.
 :func:`reference_minimum_cover` is the textbook set-based Maier cover
 (frozenset closures, no memo, no bitmasks) that the production
 :func:`repro.fd.minimum_cover` must match list for list.
+
+:func:`reference_closest_summary` is the scalar Phase-3 argmin (one
+``merge_cost`` per summary) that the daemon's
+:class:`repro.kernels.PostingStore` must match row for row.
 """
 
 from __future__ import annotations
@@ -223,3 +227,20 @@ def reference_minimum_cover(fds, group_rhs: bool = False) -> list[FD]:
         return []
     reduced = reference_remove_redundant(reference_left_reduce(fds))
     return regroup(reduced) if group_rhs else reduced
+
+
+def reference_closest_summary(summaries, singleton) -> int:
+    """Index of the summary cheapest to merge ``singleton`` into.
+
+    One scalar :func:`repro.clustering.dcf.merge_cost` per summary, the
+    first strictly smaller cost winning (ties go to the lowest index): the
+    argmin :class:`repro.kernels.PostingStore` must reproduce.
+    """
+    from repro.clustering.dcf import merge_cost
+
+    best, best_cost = 0, merge_cost(summaries[0], singleton)
+    for index in range(1, len(summaries)):
+        cost = merge_cost(summaries[index], singleton)
+        if cost < best_cost:
+            best, best_cost = index, cost
+    return best

@@ -237,6 +237,15 @@ class TestModelCache:
                 {"model": 2}
         assert reborn.rehydrate_failures == 1
 
+    def test_release_keeps_the_durable_snapshot(self, tmp_path):
+        cache = ModelCache(store=CheckpointStore(tmp_path), max_bytes=1 << 20)
+        cache.get_or_compute("k", lambda: {"model": 1})
+        cache.release("k")
+        assert cache.resident_keys() == []
+        assert cache.governor.reserved == 0
+        assert cache.peek("k") == {"model": 1}
+        assert cache.disk_hits == 1
+
     def test_invalidate_drops_both_layers(self, tmp_path):
         store = CheckpointStore(tmp_path)
         cache = ModelCache(store=store)
