@@ -43,16 +43,15 @@ _MAX_MASK_ATTRIBUTES = 62
 
 
 def _signature_matrix(relation) -> np.ndarray:
-    """``(arity, n)`` ``int32`` class labels per attribute (``-1`` singleton).
+    """``(arity, n)`` ``int32`` group labels per attribute.
 
-    Row ``a`` is the label array of the stripped partition under attribute
-    ``a`` alone: two tuples agree on the attribute iff their labels are
-    equal *and* non-negative.
+    Row ``a`` is the label array of the partition under attribute ``a``
+    alone: two tuples agree on the attribute iff their labels are equal.
     """
     names = relation.schema.names
     sig = np.empty((len(names), len(relation)), dtype=np.int32)
     for a, name in enumerate(names):
-        sig[a] = partition_of(relation, [name]).label_array
+        sig[a] = partition_of(relation, [name]).labels
     return sig
 
 
@@ -68,7 +67,7 @@ def _agree_masks_block(sig: np.ndarray, start: int, stop: int) -> set:
     masks: set = set()
     for i in range(start, stop):
         anchor = sig[:, i : i + 1]
-        eq = (sig[:, i + 1 :] == anchor) & (anchor >= 0)
+        eq = sig[:, i + 1 :] == anchor
         bits = (eq * weights).sum(axis=0)
         masks.update(np.unique(bits).tolist())
     return masks
@@ -99,7 +98,7 @@ def _agree_sets_scalar(sig: np.ndarray, names, n: int, budget) -> set[frozenset]
         agree = frozenset(
             names[a]
             for a in range(arity)
-            if column_i[a] >= 0 and column_i[a] == column_j[a]
+            if column_i[a] == column_j[a]
         )
         result.add(agree)
     return result
@@ -135,7 +134,7 @@ def agree_sets(relation, budget=None, executor=None) -> set[frozenset]:
         )
         for block_sets in executor.map(
             tasks.agree_pairs_block,
-            [(sig, names, start, stop, n) for start, stop in blocks],
+            [(sig, names, start, stop) for start, stop in blocks],
             units=[
                 sum(n - 1 - i for i in range(start, stop))
                 for start, stop in blocks

@@ -1,167 +1,95 @@
-"""Stripped partitions (the TANE representation of attribute-set equality).
+"""Partitions of a relation's rows by attribute-set equality (TANE's tool).
 
 The partition of a relation under an attribute set ``X`` groups tuple indices
-with equal ``X``-projections.  *Stripped* partitions drop singleton classes;
-two key facts make them the workhorse of dependency mining:
+with equal ``X``-projections.  A :class:`Partition` stores it as an ``int32``
+row -> group label array plus the size of every group.  Two facts make
+partitions the workhorse of dependency mining:
 
 * ``X -> A`` holds iff ``error(pi_X) == error(pi_{X+A})``, where
-  ``error(pi) = ||pi|| - |pi|`` (sum of class sizes minus class count);
-* ``pi_{X union Y}`` is the product of ``pi_X`` and ``pi_Y``, computable in
-  time linear in ``||pi||``.
+  ``error(pi) = n_rows - |pi|`` -- the stripped-partition ``||pi|| - |pi|``
+  of TANE, since singleton groups contribute nothing to either form;
+* ``pi_{X union Y}`` is the product of ``pi_X`` and ``pi_Y``: one
+  :func:`fuse` of their labels.
+
+:func:`fuse` is the one kernel: TANE, FDEP's signatures and the reliable
+miner's contingency counts are all folds of it over coded columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+def fuse(labels: np.ndarray, cardinality: int, column: np.ndarray):
+    """Refine a row -> group labelling by one coded column.
+
+    Returns ``(labels, counts)``: the ``int32`` group of every row and the
+    ``int64`` size of every group.  Groups are numbered in sorted order of
+    the fused key ``labels * cardinality + column`` (``np.unique``), so
+    the same inputs always yield the same numbering and count order -- the
+    reliable miner's float sums over ``counts`` depend on that order.  The
+    key is widened to ``int64`` before multiplying: an ``int32`` array times
+    a Python int stays ``int32`` and would wrap.  ``column`` must lie in
+    ``[0, cardinality)``.
+    """
+    key = labels.astype(np.int64) * cardinality + column
+    _, inverse = np.unique(key, return_inverse=True)
+    return inverse.astype(np.int32), np.bincount(inverse)
+
+
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """A stripped partition over a relation of ``n_rows`` tuples."""
+    """Row -> group ``labels`` (``int32``, dense) and group ``counts``."""
 
-    classes: tuple
-    n_rows: int
-
-    @classmethod
-    def from_classes(cls, classes, n_rows: int) -> "Partition":
-        stripped = tuple(
-            tuple(sorted(c)) for c in classes if len(c) > 1
-        )
-        return cls(classes=tuple(sorted(stripped)), n_rows=n_rows)
+    labels: np.ndarray
+    counts: np.ndarray
 
     @property
-    def error(self) -> int:
-        """``||pi|| - |pi|``: how far the partition is from all-singletons."""
-        return sum(len(c) for c in self.classes) - len(self.classes)
+    def n_rows(self) -> int:
+        return len(self.labels)
 
     @property
     def n_classes(self) -> int:
-        """Class count including the stripped singletons."""
-        covered = sum(len(c) for c in self.classes)
-        return len(self.classes) + (self.n_rows - covered)
+        """Group count, singletons included."""
+        return len(self.counts)
+
+    @property
+    def error(self) -> int:
+        """``n_rows - n_classes``: how far the partition is from all-singletons."""
+        return self.n_rows - self.n_classes
 
     def is_superkey(self) -> bool:
-        """All classes are singletons -- the attribute set is a superkey."""
-        return not self.classes
-
-    @cached_property
-    def labels(self) -> list:
-        """Row -> class-index label array (``-1`` for stripped singletons).
-
-        Computed once per partition and reused by every ``refines`` /
-        ``product`` call touching it, replacing the per-call dict builds the
-        TANE lattice search used to pay for on each of its O(|lattice|)
-        partition operations.
-        """
-        labels = [-1] * self.n_rows
-        for class_index, members in enumerate(self.classes):
-            for row in members:
-                labels[row] = class_index
-        return labels
-
-    @cached_property
-    def label_array(self) -> "np.ndarray":
-        """``labels`` as an ``int32`` NumPy array (``-1`` for singletons).
-
-        The FDEP pair scan consumes this form: equality of two rows under an
-        attribute is one vectorized compare of their labels (with the ``-1``
-        stripped-singleton rows masked out).
-        """
-        labels = np.full(self.n_rows, -1, dtype=np.int32)
-        for class_index, members in enumerate(self.classes):
-            labels[list(members)] = class_index
-        return labels
-
-    def refines(self, other: "Partition") -> bool:
-        """Whether every class of ``self`` lies within a class of ``other``.
-
-        ``pi_X`` refining ``pi_A`` is exactly the statement ``X -> A``.
-        """
-        labels = other.labels
-        for members in self.classes:
-            first = labels[members[0]]
-            if first < 0:
-                # A stripped singleton of ``other`` cannot contain a class
-                # with two or more members.
-                return False
-            for row in members[1:]:
-                if labels[row] != first:
-                    return False
-        return True
+        """All groups are singletons -- the attribute set is a superkey."""
+        return self.n_classes == self.n_rows
 
 
 def partition_of(relation, attributes) -> Partition:
-    """The stripped partition of a relation under an attribute set.
+    """The partition of a relation under an attribute set.
 
-    An empty attribute set yields the single all-rows class (every tuple
-    agrees on nothing vacuously).  Grouping runs over the relation's coded
-    columns: equal ``X``-projections are equal code vectors, found with one
-    stable ``argsort`` over a fused per-row key instead of a per-row dict of
-    value tuples.
+    An empty attribute set yields the single all-rows group (every tuple
+    agrees on nothing vacuously).  Otherwise :func:`fuse` folds the coded
+    columns in sorted attribute order into that group; each fold
+    re-compresses the key, so a dictionary code no row uses never becomes
+    a group.
     """
     attributes = sorted(attributes) if not isinstance(attributes, str) else [attributes]
-    n = len(relation)
-    if not attributes:
-        classes = [list(range(n))] if n else []
-        return Partition.from_classes(classes, n)
     positions = relation.schema.positions(attributes)
-    if n == 0:
-        return Partition.from_classes([], 0)
-
+    labels = np.zeros(len(relation), dtype=np.int32)
+    counts = np.bincount(labels)
     store = relation.coded
-    columns = store.columns
-    # Fuse the selected columns into one int64 group key.  Re-compressing
-    # with ``np.unique(return_inverse)`` after every pairing keeps the key
-    # dense, so ``inv * cardinality + code`` can never overflow.
-    inv = columns[positions[0]].astype(np.int64)
-    for p in positions[1:]:
-        inv = inv * len(store.dictionaries[p]) + columns[p]
-        if len(positions) > 2:
-            _, inv = np.unique(inv, return_inverse=True)
-    order = np.argsort(inv, kind="stable")
-    fused = inv[order]
-    boundaries = np.flatnonzero(fused[1:] != fused[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-    classes = [
-        order[s:e].tolist() for s, e in zip(starts.tolist(), ends.tolist())
-        if e - s > 1
-    ]
-    return Partition.from_classes(classes, n)
-
-
-def _partition_of_rows(relation, attributes) -> Partition:
-    """Row-tuple oracle for :func:`partition_of` (parity tests only)."""
-    attributes = sorted(attributes) if not isinstance(attributes, str) else [attributes]
-    if not attributes:
-        classes = [list(range(len(relation)))] if len(relation) else []
-        return Partition.from_classes(classes, len(relation))
-    positions = relation.schema.positions(attributes)
-    buckets: dict = {}
-    for index, row in enumerate(relation.rows):
-        key = tuple(row[p] for p in positions)
-        buckets.setdefault(key, []).append(index)
-    return Partition.from_classes(buckets.values(), len(relation))
+    for p in positions:
+        labels, counts = fuse(labels, len(store.dictionaries[p]), store.columns[p])
+    return Partition(labels, counts)
 
 
 def product(left: Partition, right: Partition) -> Partition:
-    """The product partition ``pi_X * pi_Y = pi_{X union Y}``.
+    """The product partition ``pi_X * pi_Y = pi_{X union Y}``: one fuse.
 
-    Linear-time TANE algorithm: label rows by their class in ``left``, then
-    split each ``right`` class by those labels.
+    It groups rows as ``partition_of(X | Y)`` does, but may number the
+    groups differently.
     """
     if left.n_rows != right.n_rows:
         raise ValueError("partitions must cover the same relation")
-    label = left.labels
-    classes = []
-    for members in right.classes:
-        sub: dict = {}
-        for row in members:
-            owner = label[row]
-            if owner >= 0:
-                sub.setdefault(owner, []).append(row)
-        classes.extend(group for group in sub.values() if len(group) > 1)
-    return Partition.from_classes(classes, left.n_rows)
+    return Partition(*fuse(left.labels, right.n_classes, right.labels))

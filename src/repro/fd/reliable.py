@@ -17,7 +17,7 @@ which is precisely the failure mode of raw ``g3``-style error on samples.
 
 Search follows Wan & Han ("Redundancy-Driven Top-k FD Discovery"): a
 set-enumeration tree per RHS over the coded int32 columns (partitions are
-fused-key ``np.unique`` passes, the PR-7 columnar idiom), pruned with the
+:func:`repro.fd.partitions.fuse` passes, as in TANE), pruned with the
 admissible bound
 
     F0(X' -> Y) <= I(X u T; Y) / H(Y)    for every X <= X' <= X u T
@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.budget import checkpoint
 from repro.fd.dependency import FD
+from repro.fd.partitions import fuse
 from repro.infotheory.entropy import entropy_of_counts
 from repro.seeding import sample_indices
 from repro.testing.faults import fault_point
@@ -200,10 +201,10 @@ def _canonical_entropy(counts: np.ndarray) -> float:
 class _Scorer:
     """Information quantities over one coded relation, natural-log units.
 
-    Partitions are row-group inverse arrays (``inv``) plus their group
-    sizes, built by fusing int64 keys and re-compressing with ``np.unique``
-    -- the same kernel as :func:`repro.fd.partitions.partition_of`, minus
-    the stripped-class bookkeeping the lattice miners need.
+    Partitions are ``int32`` row -> group label arrays (``inv``) plus their
+    group sizes, refined by :func:`repro.fd.partitions.fuse` -- the kernel
+    TANE's partitions are built with.  The roots are the store's own
+    ``int32`` code columns (not copies).
 
     An LRU memo keyed by the attribute *set* shares partitions across the
     per-RHS search trees (an LHS like ``{Month, School}`` appears in up to
@@ -219,7 +220,7 @@ class _Scorer:
         store = relation.coded
         self.n = int(store.n_rows)
         self.names = list(store.names)
-        self.columns = [np.asarray(c, dtype=np.int64) for c in store.columns]
+        self.columns = store.columns
         self.cards = [max(1, len(d)) for d in store.dictionaries]
         self.budget = budget
         self.stats = stats if stats is not None else ReliableMiningStats()
@@ -262,12 +263,9 @@ class _Scorer:
                 self._governor.release(self._booked.pop(old_key, 0))
 
     def _fuse(self, inv: np.ndarray, position: int):
-        """Refine a partition by one attribute: fuse keys, re-compress."""
-        fused = inv * self.cards[position] + self.columns[position]
-        uniques, new_inv = np.unique(fused, return_inverse=True)
-        counts = np.bincount(new_inv, minlength=len(uniques))
+        """Refine a partition by one attribute: one shared fuse."""
         self.stats.partitions_computed += 1
-        return new_inv.astype(np.int64), counts
+        return fuse(inv, self.cards[position], self.columns[position])
 
     def root(self, position: int):
         """The singleton partition of one attribute (codes are dense)."""
@@ -295,7 +293,8 @@ class _Scorer:
         grid would be ``O(n * card_y)`` cells, the compressed form never
         exceeds ``n``.
         """
-        fused = inv * self.cards[y_position] + self.columns[y_position]
+        fused = (inv.astype(np.int64) * self.cards[y_position]
+                 + self.columns[y_position])
         _, joint = np.unique(fused, return_counts=True)
         h_joint = _canonical_entropy(joint)
         h_x = _canonical_entropy(counts)
@@ -338,12 +337,9 @@ class _Scorer:
         closure_key = key.union(tail_positions)
         hit = self._lookup(closure_key)
         if hit is None:
-            closure = inv
+            closure, counts = inv, np.bincount(inv)
             for p in tail_positions:
-                fused = closure * self.cards[p] + self.columns[p]
-                _, closure = np.unique(fused, return_inverse=True)
-                closure = closure.astype(np.int64)
-            counts = np.bincount(closure)
+                closure, counts = fuse(closure, self.cards[p], self.columns[p])
             self.stats.partitions_computed += 1
             self._remember(closure_key, closure, counts)
         else:
@@ -694,10 +690,9 @@ def mine_reliable_fds(
     governor = getattr(budget, "memory", None)
     booked = 0
     if governor is not None:
-        # The scorer widens every code column to int64 and keeps the int32
-        # originals alive through the relation; transient per-node arrays
-        # are a few more rows-sized vectors.
-        booked = (12 * len(work) * arity) + (4 * 8 * len(work))
+        # The scorer reads the relation's int32 code columns in place;
+        # transient per-node arrays are a few more rows-sized vectors.
+        booked = (4 * len(work) * arity) + (4 * 8 * len(work))
         governor.reserve(booked, where="fd.reliable.scorer")
     try:
         chunks = [jobs[i:i + _SUBTREE_CHUNK]

@@ -29,8 +29,8 @@ _CANDIDATE_CHUNK = 16
 
 
 def _partition_bytes(part: Partition) -> int:
-    """Deterministic byte estimate of one stripped partition's footprint."""
-    return 96 + 64 * len(part.classes) + 8 * sum(len(c) for c in part.classes)
+    """Bytes of one partition's label and count arrays."""
+    return part.labels.nbytes + part.counts.nbytes
 
 
 def tane(

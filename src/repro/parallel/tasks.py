@@ -17,8 +17,6 @@ how the work was split.  Combined with the fixed shard layout of
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.clustering.dcf import DCF
 from repro.clustering.dcf_tree import DCFTree
 from repro.clustering.limbo import assign_rows
@@ -65,39 +63,25 @@ def assign_block(payload):
 def agree_pairs_block(payload):
     """FDEP agree sets for one block of tuple-pair rows.
 
-    Payload: ``(signatures, names, start, stop, n)``; the block owns the
-    pairs ``(i, j)`` with ``start <= i < stop`` and ``i < j < n``.
+    Payload: ``(signatures, names, start, stop)``; the block owns the
+    pairs ``(i, j)`` with ``start <= i < stop`` and ``i < j``.
     ``signatures`` is the ``(arity, n)`` label matrix of
-    :func:`repro.fd.fdep._signature_matrix` (or the legacy per-attribute
-    label lists, with ``None`` marking singletons).  Returns the set of
-    distinct agree sets seen -- the union over blocks equals the sequential
+    :func:`repro.fd.fdep._signature_matrix`.  Returns the set of distinct
+    agree sets seen -- the union over blocks equals the sequential
     full-scan result exactly, because sets are content-based.
     """
-    signatures, names, start, stop, n = payload
-    if isinstance(signatures, np.ndarray):
-        return _agree_block(signatures, names, start, stop)
-    n_attributes = len(names)
-    result: set = set()
-    for i in range(start, stop):
-        for j in range(i + 1, n):
-            agree = frozenset(
-                names[a]
-                for a in range(n_attributes)
-                if signatures[a][i] is not None
-                and signatures[a][i] == signatures[a][j]
-            )
-            result.add(agree)
-    return result
+    return _agree_block(*payload)
 
 
 def partition_chunk(payload):
-    """Stripped partitions for one chunk of TANE lattice candidates.
+    """Partitions for one chunk of TANE lattice candidates.
 
     Payload: ``(relation, candidates)`` with each candidate a sorted tuple
     of attribute names.  Returns one :class:`repro.fd.partitions.Partition`
-    per candidate, computed directly from the relation --
-    ``Partition.from_classes`` canonicalizes, so the result is identical to
-    the sequential path's incremental ``product`` of parent partitions.
+    per candidate, computed directly from the relation.  It groups rows
+    exactly as the sequential path's incremental ``product`` of parent
+    partitions does (only the group numbering may differ), and TANE reads
+    nothing but group counts, so the mined dependencies are identical.
     """
     relation, candidates = payload
     return [partition_of(relation, list(attrs)) for attrs in candidates]

@@ -27,6 +27,13 @@ Both scale exponentially in arity; keep oracle relations at <= 8 attributes.
 :func:`reference_closest_summary` is the scalar Phase-3 argmin (one
 ``merge_cost`` per summary) that the daemon's
 :class:`repro.kernels.PostingStore` must match row for row.
+
+The row-tuple oracles -- :func:`reference_partition_classes`,
+:func:`reference_tuple_view` and :func:`reference_value_view` -- compute
+from ``relation.rows`` with dicts what the production paths compute from
+the coded columns; :func:`stripped_classes` reads a label-array
+:class:`repro.fd.partitions.Partition` as the canonical sorted classes they
+are compared in.
 """
 
 from __future__ import annotations
@@ -36,6 +43,12 @@ from itertools import combinations
 
 from repro.fd.reliable import ReliableFD, reliable_score
 from repro.fd.dependency import FD, split_rhs
+from repro.relation.matrices import (
+    TupleView,
+    ValueCatalog,
+    ValueView,
+    _check_scope,
+)
 
 
 def _column_classes(relation, names) -> dict:
@@ -244,3 +257,115 @@ def reference_closest_summary(summaries, singleton) -> int:
         if cost < best_cost:
             best, best_cost = index, cost
     return best
+
+
+def _canonical_classes(groups) -> tuple:
+    """Sorted tuple of sorted row tuples, singleton groups stripped."""
+    return tuple(sorted(tuple(sorted(g)) for g in groups if len(g) > 1))
+
+
+def reference_partition_classes(relation, attributes) -> tuple:
+    """The stripped partition classes of ``relation`` under ``attributes``.
+
+    Row tuples grouped by a dict of projections: the oracle that
+    :func:`repro.fd.partitions.partition_of` (read through
+    :func:`stripped_classes`) must match.
+    """
+    return _canonical_classes(
+        _column_classes(relation, sorted(attributes)).values())
+
+
+def stripped_classes(partition) -> tuple:
+    """A :class:`repro.fd.partitions.Partition` as canonical stripped classes.
+
+    Group numbering is dropped: two partitions with the same grouping give
+    the same tuple, whatever labels they use.
+    """
+    groups: dict = {}
+    for row, label in enumerate(partition.labels.tolist()):
+        groups.setdefault(label, []).append(row)
+    return _canonical_classes(groups.values())
+
+
+def reference_tuple_view(relation, value_scope: str = "global") -> TupleView:
+    """Matrix ``M`` by per-row catalog hashing over the row tuples.
+
+    The oracle for :func:`repro.relation.matrices.build_tuple_view`, which
+    builds the same view from the coded columns.
+    """
+    _check_scope(value_scope)
+    if not relation.rows:
+        raise ValueError("cannot build a tuple view of an empty relation")
+    catalog = ValueCatalog(scope=value_scope)
+    names = relation.schema.names
+    arity = len(names)
+    cell_mass = 1.0 / arity
+    rows = []
+    for row in relation.rows:
+        sparse: dict = {}
+        for name, literal in zip(names, row):
+            value_id = catalog.id_for(name, literal)
+            sparse[value_id] = sparse.get(value_id, 0.0) + cell_mass
+        rows.append(sparse)
+    priors = [1.0 / len(rows)] * len(rows)
+    return TupleView(relation=relation, rows=rows, priors=priors, catalog=catalog)
+
+
+def reference_value_view(
+    relation,
+    value_scope: str = "global",
+    tuple_clusters: list | None = None,
+) -> ValueView:
+    """Matrices ``N``/``O`` by per-row catalog hashing over the row tuples.
+
+    The oracle for :func:`repro.relation.matrices.build_value_view`, which
+    builds the same view from the coded columns.
+    """
+    _check_scope(value_scope)
+    if not relation.rows:
+        raise ValueError("cannot build a value view of an empty relation")
+    if tuple_clusters is not None and len(tuple_clusters) != len(relation.rows):
+        raise ValueError("tuple_clusters must assign a cluster to every tuple")
+
+    catalog = ValueCatalog(scope=value_scope)
+    names = relation.schema.names
+    membership: list = []
+    support: list = []
+    tuple_counts: list = []
+
+    for t, row in enumerate(relation.rows):
+        column = tuple_clusters[t] if tuple_clusters is not None else t
+        seen_in_tuple: set = set()
+        for name, literal in zip(names, row):
+            value_id = catalog.id_for(name, literal)
+            if value_id == len(membership):
+                membership.append({})
+                support.append({})
+                tuple_counts.append(0)
+            attr_counts = support[value_id]
+            attr_counts[name] = attr_counts.get(name, 0) + 1
+            if value_id not in seen_in_tuple:
+                seen_in_tuple.add(value_id)
+                tuple_counts[value_id] += 1
+                cols = membership[value_id]
+                cols[column] = cols.get(column, 0) + 1
+        del seen_in_tuple
+
+    rows = []
+    for cols in membership:
+        d_v = sum(cols.values())
+        rows.append({column: count / d_v for column, count in cols.items()})
+    priors = [1.0 / len(rows)] * len(rows)
+    n_columns = (
+        len(set(tuple_clusters)) if tuple_clusters is not None else len(relation.rows)
+    )
+    return ValueView(
+        relation=relation,
+        rows=rows,
+        priors=priors,
+        support=support,
+        catalog=catalog,
+        n_columns=n_columns,
+        tuple_counts=tuple_counts,
+        double_clustered=tuple_clusters is not None,
+    )

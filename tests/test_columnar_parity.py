@@ -4,11 +4,12 @@ Every vectorized consumer of the columnar representation keeps its legacy
 per-row implementation around as a correctness oracle.  Hypothesis drives
 random relations through both and demands exact agreement:
 
-* TANE stripped partitions (:func:`repro.fd.partitions.partition_of` vs
-  ``_partition_of_rows``),
+* TANE partitions (:func:`repro.fd.partitions.partition_of` vs
+  :func:`repro.testing.oracles.reference_partition_classes`), their
+  ``error`` and ``n_classes``,
 * the matrix builders ``M``/``N``/``O`` (:func:`build_tuple_view` /
-  :func:`build_value_view` vs their ``_*_rows`` twins) and the DCF
-  support sets derived from them,
+  :func:`build_value_view` vs ``reference_tuple_view`` /
+  ``reference_value_view``) and the DCF support sets derived from them,
 * FDEP agree sets (bitmask block scan vs the scalar pair loop).
 """
 
@@ -24,13 +25,15 @@ from repro.fd.fdep import (
     _signature_matrix,
     agree_sets,
 )
-from repro.fd.partitions import _partition_of_rows, partition_of
+from repro.fd.partitions import partition_of
 from repro.relation import NULL, Relation
-from repro.relation.matrices import (
-    _build_tuple_view_rows,
-    _build_value_view_rows,
-    build_tuple_view,
-    build_value_view,
+from repro.relation.columns import ColumnStore
+from repro.relation.matrices import build_tuple_view, build_value_view
+from repro.testing.oracles import (
+    reference_partition_classes,
+    reference_tuple_view,
+    reference_value_view,
+    stripped_classes,
 )
 
 _value = st.one_of(
@@ -49,28 +52,75 @@ def relation(draw, max_rows=12, max_cols=4, min_rows=0):
     return Relation(names, rows)
 
 
+def _draw_subset(rel, data):
+    names = list(rel.schema.names)
+    return data.draw(
+        st.lists(st.sampled_from(names), min_size=0,
+                 max_size=len(names), unique=True)
+    )
+
+
+@st.composite
+def sampled_relation(draw):
+    """A relation whose dictionaries hold codes no row uses, as a relation
+    cut from a larger one keeps its parent's dictionaries."""
+    rel = draw(relation(min_rows=1))
+    unused = draw(st.lists(st.sampled_from(["gone", "lost", 9, NULL]),
+                           min_size=1, max_size=3))
+    store = ColumnStore(rel.schema.names)
+    for dictionary in store.dictionaries:
+        dictionary.encode(unused)
+    store.append_rows(rel.rows)
+    return Relation.from_columns(rel.schema, store)
+
+
+def _oracle_error_and_classes(rel, subset):
+    classes = reference_partition_classes(rel, subset)
+    covered = sum(len(members) for members in classes)
+    return covered - len(classes), len(classes) + len(rel) - covered
+
+
 class TestPartitionParity:
     @given(relation(), st.data())
     @settings(max_examples=80)
     def test_partition_of_matches_row_oracle(self, rel, data):
-        names = list(rel.schema.names)
-        subset = data.draw(
-            st.lists(st.sampled_from(names), min_size=0,
-                     max_size=len(names), unique=True)
-        )
+        subset = _draw_subset(rel, data)
         coded = partition_of(rel, subset)
-        oracle = _partition_of_rows(rel, subset)
-        assert coded.classes == oracle.classes
-        assert coded.n_rows == oracle.n_rows
+        assert stripped_classes(coded) == reference_partition_classes(rel, subset)
+        assert coded.n_rows == len(rel)
 
     @given(relation(min_rows=1))
     @settings(max_examples=50)
     def test_label_array_consistent_with_classes(self, rel):
-        part = partition_of(rel, [rel.schema.names[0]])
-        labels = part.label_array
+        name = rel.schema.names[0]
+        part = partition_of(rel, [name])
+        labels = part.labels
         assert labels.shape == (len(rel),)
-        for class_index, members in enumerate(part.classes):
-            assert set(np.flatnonzero(labels == class_index)) == set(members)
+        assert labels.dtype == np.int32
+        assert np.array_equal(np.bincount(labels), part.counts)
+        for members in reference_partition_classes(rel, [name]):
+            assert set(np.flatnonzero(labels == labels[members[0]])) == set(members)
+
+    @pytest.mark.parametrize("min_rows,max_rows", [(0, 0), (1, 1), (0, 12)])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_error_and_n_classes_match_oracle(self, min_rows, max_rows, data):
+        rel = data.draw(relation(min_rows=min_rows, max_rows=max_rows))
+        for subset in ([], _draw_subset(rel, data)):
+            part = partition_of(rel, subset)
+            error, n_classes = _oracle_error_and_classes(rel, subset)
+            assert (part.error, part.n_classes) == (error, n_classes)
+            assert part.is_superkey() == (error == 0)
+
+    @given(sampled_relation(), st.data())
+    @settings(max_examples=40)
+    def test_unused_dictionary_codes_form_no_group(self, rel, data):
+        subset = _draw_subset(rel, data)
+        part = partition_of(rel, subset)
+        assert stripped_classes(part) == reference_partition_classes(rel, subset)
+        error, n_classes = _oracle_error_and_classes(rel, subset)
+        assert (part.error, part.n_classes) == (error, n_classes)
+        assert part.counts.min() >= 1
 
 
 class TestMatrixParity:
@@ -78,7 +128,7 @@ class TestMatrixParity:
     @settings(max_examples=60)
     def test_tuple_view_matches_row_oracle(self, rel, scope):
         coded = build_tuple_view(rel, value_scope=scope)
-        oracle = _build_tuple_view_rows(rel, value_scope=scope)
+        oracle = reference_tuple_view(rel, value_scope=scope)
         assert coded.catalog.keys == oracle.catalog.keys
         assert coded.rows == oracle.rows
         assert coded.priors == oracle.priors
@@ -87,7 +137,7 @@ class TestMatrixParity:
     @settings(max_examples=60)
     def test_value_view_matches_row_oracle(self, rel, scope):
         coded = build_value_view(rel, value_scope=scope)
-        oracle = _build_value_view_rows(rel, value_scope=scope)
+        oracle = reference_value_view(rel, value_scope=scope)
         assert coded.catalog.keys == oracle.catalog.keys
         assert coded.rows == oracle.rows
         assert coded.support == oracle.support
@@ -102,7 +152,7 @@ class TestMatrixParity:
                      min_size=len(rel), max_size=len(rel))
         )
         coded = build_value_view(rel, tuple_clusters=clusters)
-        oracle = _build_value_view_rows(rel, tuple_clusters=clusters)
+        oracle = reference_value_view(rel, tuple_clusters=clusters)
         assert coded.rows == oracle.rows
         assert coded.support == oracle.support
 
@@ -113,7 +163,7 @@ class TestMatrixParity:
         supports and ADCF ``O``-rows -- the inputs the clustering stages
         consume downstream of the builders."""
         coded = build_value_view(rel)
-        oracle = _build_value_view_rows(rel)
+        oracle = reference_value_view(rel)
         for v in range(coded.n_values):
             a = DCF.singleton(v, coded.priors[v], coded.rows[v],
                               support=coded.support[v])

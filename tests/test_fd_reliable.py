@@ -7,6 +7,7 @@ edge cases, seeding, worker-count bit-identity, budget/governor behaviour
 and the ``StructureDiscovery``/CLI integration.
 """
 
+import numpy as np
 import pytest
 
 from repro.budget import Budget
@@ -15,6 +16,7 @@ from repro.datasets import dblp
 from repro.errors import MemoryLimitExceeded, ResourceLimitExceeded
 from repro.fd import FD, ReliableFD, ReliableMiningStats
 from repro.fd.reliable import (
+    _Scorer,
     confidence_radius,
     expected_mutual_information,
     fraction_of_information,
@@ -302,6 +304,22 @@ class TestBudget:
             relation, k=6, budget=Budget(max_memory_bytes=1 << 30)
         )
         assert capped == mine_topk(relation, k=6)
+
+    def test_memo_holds_int32_labels_booked_at_their_nbytes(self):
+        relation = dblp(n_tuples=250, seed=7)
+        budget = Budget(max_memory_bytes=1 << 30)
+        scorer = _Scorer(relation, budget=budget)
+        inv, _ = scorer.root(0)
+        child, _ = scorer.extend(frozenset({0}), inv, 1)
+        scorer.extend(frozenset({0, 1}), child, 2)
+        scorer.upper_bound(frozenset({0}), inv, (3, 4, 5), 6)
+        assert len(scorer._memo) == 3
+        for key, (labels, counts) in scorer._memo.items():
+            assert labels.dtype == np.int32
+            assert scorer._booked[key] == labels.nbytes + counts.nbytes
+        assert budget.memory.reserved == sum(scorer._booked.values())
+        scorer.release_memo()
+        assert budget.memory.reserved == 0
 
     def test_fault_point_fires_per_node(self):
         relation = fixed_relation(40)

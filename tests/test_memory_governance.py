@@ -232,6 +232,22 @@ class TestTaneEagerFree:
         assert budget.memory.reserved == 0
         assert budget.memory.peak_reserved > 0
 
+    def test_books_exactly_the_live_partition_arrays(self, wide_relation):
+        budget = Budget(max_memory_bytes=BIG_CAP)
+        live = []
+
+        def probe(store):
+            live.append((
+                budget.memory.reserved,
+                sum(p.labels.nbytes + p.counts.nbytes for p in store.values()),
+            ))
+            return store
+
+        with inject("fd.tane.level", corrupt=probe) as fault:
+            tane(wide_relation, budget=budget)
+        assert fault.fired >= 3
+        assert all(booked == held for booked, held in live)
+
 
 # -- capped runs and durable checkpoints --------------------------------------------
 

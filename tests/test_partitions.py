@@ -1,9 +1,11 @@
-"""Unit tests for stripped partitions."""
+"""Unit tests for label-array partitions."""
 
+import numpy as np
 import pytest
 
-from repro.fd.partitions import Partition, partition_of, product
+from repro.fd.partitions import Partition, fuse, partition_of, product
 from repro.relation import NULL, Relation
+from repro.testing.oracles import stripped_classes
 
 
 @pytest.fixture
@@ -23,11 +25,11 @@ def rel():
 class TestPartitionOf:
     def test_single_attribute(self, rel):
         part = partition_of(rel, ["A"])
-        assert part.classes == ((0, 1), (2, 3))  # z is stripped
+        assert stripped_classes(part) == ((0, 1), (2, 3))  # z is stripped
 
     def test_strips_singletons(self, rel):
         part = partition_of(rel, ["A", "B"])
-        assert part.classes == ((0, 1),)
+        assert stripped_classes(part) == ((0, 1),)
 
     def test_superkey_detection(self, rel):
         assert partition_of(rel, ["A", "B", "C"]).is_superkey()
@@ -35,15 +37,18 @@ class TestPartitionOf:
 
     def test_empty_attribute_set_is_one_class(self, rel):
         part = partition_of(rel, [])
-        assert part.classes == ((0, 1, 2, 3, 4),)
+        assert stripped_classes(part) == ((0, 1, 2, 3, 4),)
 
     def test_string_attribute_accepted(self, rel):
-        assert partition_of(rel, "A") == partition_of(rel, ["A"])
+        by_name = partition_of(rel, "A")
+        by_list = partition_of(rel, ["A"])
+        assert np.array_equal(by_name.labels, by_list.labels)
+        assert np.array_equal(by_name.counts, by_list.counts)
 
     def test_null_equals_null(self):
         rel = Relation(["A"], [(NULL,), (NULL,), ("x",)])
         part = partition_of(rel, ["A"])
-        assert part.classes == ((0, 1),)
+        assert stripped_classes(part) == ((0, 1),)
 
 
 class TestErrorAndCounts:
@@ -70,69 +75,63 @@ class TestProduct:
     def test_matches_direct_partition(self, rel):
         pa = partition_of(rel, ["A"])
         pb = partition_of(rel, ["B"])
-        assert product(pa, pb) == partition_of(rel, ["A", "B"])
+        assert stripped_classes(product(pa, pb)) == stripped_classes(
+            partition_of(rel, ["A", "B"]))
 
     def test_commutative(self, rel):
         pa = partition_of(rel, ["A"])
         pc = partition_of(rel, ["C"])
-        assert product(pa, pc) == product(pc, pa)
+        assert stripped_classes(product(pa, pc)) == stripped_classes(
+            product(pc, pa))
 
     def test_product_with_self(self, rel):
         pa = partition_of(rel, ["A"])
-        assert product(pa, pa) == pa
+        assert stripped_classes(product(pa, pa)) == stripped_classes(pa)
 
     def test_mismatched_sizes_rejected(self, rel):
-        other = Partition.from_classes([(0, 1)], 2)
+        other = Partition(np.zeros(2, dtype=np.int32), np.array([2]))
         with pytest.raises(ValueError):
             product(partition_of(rel, ["A"]), other)
 
 
-class TestRefines:
-    def test_refinement_is_fd(self, rel):
-        # C -> A fails; A,B -> C fails; but {A,B,C} refines everything.
-        pabc = partition_of(rel, ["A", "B", "C"])
-        pa = partition_of(rel, ["A"])
-        assert pabc.refines(pa)
+class TestFuse:
+    def test_groups_numbered_in_sorted_key_order(self):
+        labels, counts = fuse(np.array([1, 0, 1, 0], dtype=np.int32), 3,
+                              np.array([2, 2, 0, 2], dtype=np.int32))
+        # keys 5, 2, 3, 2 -> sorted distinct 2, 3, 5
+        assert labels.tolist() == [2, 0, 1, 0]
+        assert labels.dtype == np.int32
+        assert counts.tolist() == [2, 1, 1]
 
-    def test_non_refinement(self, rel):
-        pa = partition_of(rel, ["A"])
-        pb = partition_of(rel, ["B"])
-        assert not pa.refines(pb)  # tuples 2,3 agree on A, differ on B
-
-
-def _refines_reference(left: Partition, right: Partition) -> bool:
-    """The original dict-based refinement check, kept as the parity oracle."""
-    owner = {}
-    for class_index, members in enumerate(right.classes):
-        for row in members:
-            owner[row] = class_index
-    for members in left.classes:
-        first = owner.get(members[0], ("single", members[0]))
-        for row in members[1:]:
-            if owner.get(row, ("single", row)) != first:
-                return False
-    return True
+    def test_key_is_widened_before_multiplying(self):
+        # 65536 * 65536 = 2**32 wraps to 0 in int32 and would merge the two
+        # rows; the int64 key keeps them apart.
+        labels = np.array([65_536, 0], dtype=np.int32)
+        column = np.zeros(2, dtype=np.int32)
+        fused, counts = fuse(labels, 65_536, column)
+        assert fused.tolist() == [1, 0]
+        assert counts.tolist() == [1, 1]
 
 
-def _product_reference(left: Partition, right: Partition) -> Partition:
-    """The original dict-based TANE product, kept as the parity oracle."""
+def _product_reference(left: Partition, right: Partition) -> tuple:
+    """The dict-based TANE product over stripped classes (parity oracle)."""
     label: dict = {}
-    for class_index, members in enumerate(left.classes):
+    for class_index, members in enumerate(stripped_classes(left)):
         for row in members:
             label[row] = class_index
     classes = []
-    for members in right.classes:
+    for members in stripped_classes(right):
         sub: dict = {}
         for row in members:
             owner = label.get(row)
             if owner is not None:
                 sub.setdefault(owner, []).append(row)
-        classes.extend(group for group in sub.values() if len(group) > 1)
-    return Partition.from_classes(classes, left.n_rows)
+        classes.extend(tuple(g) for g in sub.values() if len(g) > 1)
+    return tuple(sorted(classes))
 
 
 class TestLabelArrayParity:
-    """The label-array fast paths agree with the dict-based reference."""
+    """The fused label arrays agree with the dict-based reference."""
 
     @staticmethod
     def _random_relation(seed, n_rows=60, n_attributes=4, cardinality=5):
@@ -148,26 +147,10 @@ class TestLabelArrayParity:
 
     def test_labels_round_trip(self, rel):
         part = partition_of(rel, ["A"])
-        labels = part.labels
-        for class_index, members in enumerate(part.classes):
-            assert all(labels[row] == class_index for row in members)
-        covered = {row for members in part.classes for row in members}
-        for row in range(part.n_rows):
-            if row not in covered:
-                assert labels[row] == -1
-
-    def test_refines_matches_reference_on_random_relations(self):
-        for seed in range(8):
-            relation = self._random_relation(seed)
-            names = relation.schema.names
-            partitions = [partition_of(relation, [a]) for a in names]
-            partitions.append(partition_of(relation, names[:2]))
-            partitions.append(partition_of(relation, names))
-            for left in partitions:
-                for right in partitions:
-                    assert left.refines(right) == _refines_reference(left, right), (
-                        seed, left, right,
-                    )
+        assert part.labels.dtype == np.int32
+        assert part.labels.tolist() == [0, 0, 1, 1, 2]
+        assert part.counts.tolist() == [2, 2, 1]
+        assert np.array_equal(np.bincount(part.labels), part.counts)
 
     def test_product_matches_reference_on_random_relations(self):
         for seed in range(8):
@@ -176,8 +159,8 @@ class TestLabelArrayParity:
             partitions = [partition_of(relation, [a]) for a in names]
             for left in partitions:
                 for right in partitions:
-                    fast = product(left, right)
-                    assert fast == _product_reference(left, right), (seed, left, right)
+                    fast = stripped_classes(product(left, right))
+                    assert fast == _product_reference(left, right), seed
 
     def test_product_matches_direct_partition(self):
         for seed in (3, 4):
@@ -190,4 +173,5 @@ class TestLabelArrayParity:
                     combined = product(
                         partition_of(relation, [a]), partition_of(relation, [b])
                     )
-                    assert combined == partition_of(relation, [a, b])
+                    assert stripped_classes(combined) == stripped_classes(
+                        partition_of(relation, [a, b]))

@@ -17,7 +17,7 @@ from repro.fd import (
 )
 from repro.fd.partitions import partition_of, product
 from repro.relation import Relation
-from repro.testing.oracles import reference_minimum_cover
+from repro.testing.oracles import reference_minimum_cover, stripped_classes
 
 ATTRS = ("W", "X", "Y", "Z")
 
@@ -218,7 +218,9 @@ class TestPartitionProperties:
             partition_of(relation, sorted(left)),
             partition_of(relation, sorted(right)),
         )
-        assert combined == direct
+        # product(pi_L, pi_R) numbers its groups in its own fused-key
+        # order, so compare groupings, not labels.
+        assert stripped_classes(combined) == stripped_classes(direct)
 
     @given(small_relation(),
            st.sets(st.sampled_from(ATTRS), min_size=1, max_size=3))
